@@ -962,9 +962,37 @@ mod tests {
         assert!(def_before_use_violations(&f, &cfg).is_empty());
     }
 
+    /// `r = invoke *p(p)` to a block returning `r` and a pad binding `e`
+    /// that returns `e + p`.
+    fn invoke_into_pad() -> Function {
+        let mut fb = FunctionBuilder::new("ip", Type::I64);
+        let p = fb.add_param(Type::I64);
+        let e = fb.new_local(Type::I64);
+        let normal = fb.new_block();
+        let pad = fb.new_pad_block(Some(e));
+        let r = fb
+            .invoke(
+                Callee::Indirect(Operand::local(p)),
+                Type::I64,
+                vec![Operand::local(p)],
+                normal,
+                pad,
+            )
+            .unwrap();
+        fb.switch_to(normal);
+        fb.ret(Some(Operand::local(r)));
+        fb.switch_to(pad);
+        let s = fb.bin(BinOp::Add, Type::I64, Operand::local(e), Operand::local(p));
+        fb.ret(Some(Operand::local(s)));
+        fb.finish()
+    }
+
+    /// Toy shapes here; `tests/dce_equivalence.rs` at the workspace root
+    /// runs the same comparison over every function of an obfuscated
+    /// T-III build, which this crate's tests cannot reach.
     #[test]
     fn live_variables_matches_liveness() {
-        for f in [diamond_assign(), half_diamond_assign().0] {
+        for f in [diamond_assign(), half_diamond_assign().0, invoke_into_pad()] {
             let cfg = Cfg::compute(&f);
             let lv = Liveness::compute(&f, &cfg);
             let sol = solve(&LiveVariables, &f, &cfg);

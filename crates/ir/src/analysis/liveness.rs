@@ -1,17 +1,32 @@
 //! Backward liveness analysis over locals.
 //!
 //! Fission uses liveness to compute the inputs and outputs of a separated
-//! region (paper §3.2.2); the code generator uses it for register
-//! allocation; dead-code elimination uses the def/use sets.
+//! region (paper §3.2.2), and dead-code elimination (`khaos_opt::dce`)
+//! starts from one solve. The solve works on whole `u64` words of the
+//! per-block sets, so both share one kernel.
 
 use crate::analysis::cfg::Cfg;
 use crate::function::Function;
 use crate::ids::{BlockId, LocalId};
 
 /// Fixed-size bitset over locals.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct LocalSet {
     bits: Vec<u64>,
+}
+
+impl Clone for LocalSet {
+    fn clone(&self) -> Self {
+        LocalSet {
+            bits: self.bits.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer, so a running set copied per block does
+    /// not allocate.
+    fn clone_from(&mut self, source: &Self) {
+        self.bits.clone_from(&source.bits);
+    }
 }
 
 impl LocalSet {
@@ -84,12 +99,14 @@ impl LocalSet {
     /// Iterates over members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = LocalId> + '_ {
         self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64).filter_map(move |b| {
-                if word & (1u64 << b) != 0 {
-                    Some(LocalId::new(w * 64 + b))
-                } else {
-                    None
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
                 }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(LocalId::new(w * 64 + b))
             })
         })
     }
@@ -159,32 +176,35 @@ impl Liveness {
             }
         }
 
+        // Unreachable blocks keep empty sets: only unreachable blocks
+        // jump to them, so no reachable block reads their `live_in`.
         let mut live_in = vec![LocalSet::new(nl); n];
         let mut live_out = vec![LocalSet::new(nl); n];
+        let mut out = vec![0u64; nl.div_ceil(64)];
         let mut changed = true;
         while changed {
             changed = false;
             // Postorder (reverse of RPO) converges fastest for backward flow.
             for &b in cfg.rpo().iter().rev() {
                 let bi = b.index();
-                let mut out = LocalSet::new(nl);
+                out.fill(0);
                 f.block(b).term.for_each_successor(|s| {
-                    out.union_with(&live_in[s.index()]);
-                });
-                // in = gen ∪ (out \ def)
-                let mut inn = gen[bi].clone();
-                for l in out.iter() {
-                    if !def[bi].contains(l) {
-                        inn.insert(l);
+                    for (o, w) in out.iter_mut().zip(&live_in[s.index()].bits) {
+                        *o |= w;
                     }
-                }
-                if out != live_out[bi] {
-                    live_out[bi] = out;
+                });
+                if live_out[bi].bits != out {
+                    live_out[bi].bits.copy_from_slice(&out);
                     changed = true;
                 }
-                if inn != live_in[bi] {
-                    live_in[bi] = inn;
-                    changed = true;
+                // in = gen ∪ (out \ def), a word at a time.
+                let (g, d) = (&gen[bi].bits, &def[bi].bits);
+                for (w, inn) in live_in[bi].bits.iter_mut().enumerate() {
+                    let nv = g[w] | (out[w] & !d[w]);
+                    if nv != *inn {
+                        *inn = nv;
+                        changed = true;
+                    }
                 }
             }
         }
@@ -236,6 +256,34 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![LocalId(3), LocalId(70)]);
         s.remove(LocalId(3));
         assert!(!s.contains(LocalId(3)));
+    }
+
+    #[test]
+    fn localset_iter_crosses_word_boundaries() {
+        // Sparse: word edges, an empty middle word, the last bit.
+        let sparse = [0, 63, 64, 127, 200, 255];
+        let mut s = LocalSet::new(256);
+        for &i in &sparse {
+            s.insert(LocalId(i));
+        }
+        let got: Vec<u32> = s.iter().map(|l| l.0).collect();
+        assert_eq!(got, sparse);
+        // Dense: every id of a set whose last word is partial.
+        let full = LocalSet::full(130);
+        assert_eq!(
+            full.iter().map(|l| l.0).collect::<Vec<_>>(),
+            (0..130).collect::<Vec<_>>()
+        );
+        // Dense with holes: every third id.
+        let mut t = LocalSet::new(190);
+        for i in (0..190).step_by(3) {
+            t.insert(LocalId(i));
+        }
+        assert_eq!(
+            t.iter().map(|l| l.0).collect::<Vec<_>>(),
+            (0..190).step_by(3).collect::<Vec<_>>()
+        );
+        assert_eq!(t.iter().count(), t.len());
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! * [`constprop`] — constant/copy propagation and folding with branch
 //!   simplification,
 //! * [`cse`] — local common-subexpression elimination,
-//! * [`dce`] — liveness-based dead code elimination,
+//! * [`dce`] — liveness-based dead code elimination to the exact fixpoint
+//!   of the classic "recompute liveness and sweep until nothing changes"
+//!   loop, reached with one liveness solve and a per-local worklist; dead
+//!   cycles such as `x = x + 1` in a loop are kept, as that loop keeps
+//!   them,
 //! * [`simplifycfg`] — unreachable-block removal, jump threading, block
 //!   merging,
 //! * [`inline`] — bottom-up inlining with a cost model (the source of the

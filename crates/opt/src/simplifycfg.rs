@@ -47,11 +47,13 @@ pub fn run_function(f: &mut Function) -> bool {
             if t == bid || t == f.entry() || f.block(t).is_pad() || cfg.preds(t).len() != 1 {
                 continue;
             }
-            // Splice t's body into b.
-            let succ_block = f.block(t).clone();
+            // Splice t's body into b. t is unreachable afterwards and the
+            // next round's step 1 removes it, so its instructions move.
+            let insts = std::mem::take(&mut f.block_mut(t).insts);
+            let term = f.block(t).term.clone();
             let this = f.block_mut(bid);
-            this.insts.extend(succ_block.insts);
-            this.term = succ_block.term;
+            this.insts.extend(insts);
+            this.term = term;
             round = true;
             break; // block ids shifted logically; recompute
         }
