@@ -1,6 +1,6 @@
-//! Criterion bench for the design-choice ablations DESIGN.md calls out:
-//! data-flow reduction, region selection policy, parameter compression
-//! and deep fusion.
+//! Criterion bench for the Khaos design-choice ablations: data-flow
+//! reduction, region selection policy, parameter compression and deep
+//! fusion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use khaos_bench::{build_baseline, khaos_atom, measure_cycles, SEED};

@@ -12,61 +12,43 @@
 //! evaluation: the N-way fusion arity sweep, the §5 data-flow-diffing
 //! prediction, and stripped-binary BinDiff.
 //!
-//! `--shard i/n` (or the `KHAOS_SHARD=i/n` environment variable) runs
-//! this process as shard `i` of `n`: grid-shaped experiments measure
-//! only their deterministic share of the flattened work grid, so `n`
-//! processes — or machines sharing nothing but store directories —
-//! split a sweep. Shard runs should set `KHAOS_STORE` so each cell is
-//! persisted; `figN-merge`/`table2-merge DIR...` then reassembles the
-//! complete grid from any union of shard stores (and fails, listing
-//! every missing cell, when the union is incomplete).
+//! The grid experiments — `fig7`, `fig9`, `fig10` and `table2`
+//! ([`experiments::GRIDS`]) — are each one list of work units with two
+//! schedulers over it:
 //!
-//! `--elastic` replaces the static partition with the leased work
-//! queue in the shared `KHAOS_STORE` (see `khaos_bench::coordinator`):
-//! every worker pointed at the same store claims open cells, steals
-//! stale claims from dead peers after the lease horizon
-//! (`KHAOS_LEASE_MS`, default 120s), and exits only when the whole
-//! grid's records exist — no up-front `i/n` arithmetic, and a killed
-//! worker costs one re-computed cell instead of a hole in the grid.
+//! - `--shard i/n` (or `KHAOS_SHARD=i/n`) is the static one: this
+//!   process measures its deterministic round-robin share of the units,
+//!   so `n` processes — or machines sharing nothing but store
+//!   directories — split a sweep. Shard runs should set `KHAOS_STORE`
+//!   so each cell is persisted; `<name>-merge DIR...` then reassembles
+//!   the complete grid from any union of shard stores (and fails,
+//!   listing every missing or invalid cell, when the union is
+//!   incomplete).
+//! - `--elastic` is the dynamic one: the same units become a leased
+//!   work queue in the shared `KHAOS_STORE` (see
+//!   `khaos_bench::coordinator`). Every worker pointed at the store
+//!   claims open units, steals stale claims from dead peers after the
+//!   lease horizon (`KHAOS_LEASE_MS`, default 120s), and exits only when
+//!   the whole grid's records exist — a killed worker costs one
+//!   re-computed unit instead of a hole in the grid.
+//!
+//! Every other target does not shard: a sharded run of it runs in full.
 
-use khaos_bench::experiments::{self, Scope};
+use khaos_bench::experiments::{self, Scope, GRIDS};
 use khaos_bench::ShardSpec;
 use std::time::Instant;
 
-/// A grid reassembler: prints the full table from shard-store DIRs,
-/// returning whether the grid was complete.
-type MergeFn = fn(Scope, &[String]) -> bool;
-
-/// An elastic driver: one worker's pass over a target's leased work
-/// queue, returning false when no store is configured.
-type ElasticFn = fn(Scope) -> bool;
-
-/// The merge targets: each reassembles one full grid from shard-store
-/// DIRs and exits 1 when cells are missing.
-const MERGE_TARGETS: [(&str, MergeFn); 4] = [
-    ("fig7-merge", experiments::fig7_report),
-    ("fig9-merge", experiments::fig9_report),
-    ("fig10-merge", experiments::fig10_report),
-    ("table2-merge", experiments::table2_report),
-];
-
-/// Targets whose drivers honour `KHAOS_SHARD` (grid-shaped, per-cell
-/// persisted). Everything else runs FULL on every shard.
-const SHARDED_TARGETS: [&str; 7] = ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table2"];
-
-/// Targets with an elastic (leased work-queue) driver.
-const ELASTIC_TARGETS: [(&str, ElasticFn); 4] = [
-    ("fig7", experiments::fig7_elastic),
-    ("fig9", experiments::fig9_elastic),
-    ("fig10", experiments::fig10_elastic),
-    ("table2", experiments::table2_elastic),
-];
+/// The grid target names, each with `suffix`, joined by `sep`.
+fn grid_names(suffix: &str, sep: &str) -> String {
+    GRIDS.map(|g| format!("{}{suffix}", g.name)).join(sep)
+}
 
 fn usage() -> ! {
     eprintln!(
         "usage: experiments [--quick] [--shard i/n] [--elastic] \
          <fig6..fig11|table1..table3|ablations|ext-arity|ext-dataflow|ext-stripped|all>\n       \
-         experiments [--quick] <fig7-merge|fig9-merge|fig10-merge|table2-merge> DIR..."
+         experiments [--quick] <{}> DIR...",
+        grid_names("-merge", "|")
     );
     std::process::exit(2);
 }
@@ -104,10 +86,12 @@ fn main() {
     }
 
     // Merge targets consume the remaining positionals as store dirs.
-    if let Some(&(name, report)) = positional
-        .first()
-        .and_then(|t| MERGE_TARGETS.iter().find(|(n, _)| n == t))
-    {
+    let merge_target = positional.first().and_then(|t| {
+        let name = t.strip_suffix("-merge")?;
+        GRIDS.iter().find(|g| g.name == name)
+    });
+    if let Some(grid) = merge_target {
+        let name = positional[0];
         let dirs: Vec<String> = positional[1..].iter().map(|s| s.to_string()).collect();
         let dirs = if dirs.is_empty() {
             match std::env::var("KHAOS_STORE") {
@@ -120,7 +104,7 @@ fn main() {
         } else {
             dirs
         };
-        let complete = report(scope, &dirs);
+        let complete = (grid.report)(scope, &dirs);
         std::process::exit(if complete { 0 } else { 1 });
     }
 
@@ -151,48 +135,42 @@ fn main() {
              the work queue balances itself; every elastic worker scans the full grid"
         );
     }
+    let grid_list = grid_names("", ", ");
     for t in targets {
-        // Only the grid-shaped drivers shard. A sharded run of any
-        // other target would duplicate its full cost on every shard,
-        // so say so loudly instead of letting it pass as a smaller
-        // sweep.
-        if !shard.is_full() && !SHARDED_TARGETS.contains(&t) {
+        let grid = GRIDS.iter().find(|g| g.name == t);
+        // Only the grid experiments shard. A sharded run of any other
+        // target would duplicate its full cost on every shard, so say
+        // so loudly instead of letting it pass as a smaller sweep.
+        if !shard.is_full() && grid.is_none() {
             eprintln!(
                 "experiments: WARNING: `{t}` does not shard — shard {shard} runs it in FULL \
-                 (every shard duplicates this cost; sharded targets: {})",
-                SHARDED_TARGETS.join(", ")
+                 (every shard duplicates this cost; sharded targets: {grid_list})"
+            );
+        }
+        if elastic && grid.is_none() {
+            eprintln!(
+                "experiments: WARNING: `{t}` has no elastic driver — running it plainly \
+                 (elastic targets: {grid_list})"
             );
         }
         let start = Instant::now();
-        if elastic {
-            if let Some(&(_, run)) = ELASTIC_TARGETS.iter().find(|(n, _)| *n == t) {
-                if !run(scope) {
+        match (grid, t) {
+            (Some(g), _) if elastic => {
+                if !(g.elastic)(scope) {
                     std::process::exit(1);
                 }
-                eprintln!("[{t} took {:.1?}]\n", start.elapsed());
-                continue;
             }
-            eprintln!(
-                "experiments: WARNING: `{t}` has no elastic driver — running it plainly \
-                 (elastic targets: {})",
-                ELASTIC_TARGETS.map(|(n, _)| n).join(", ")
-            );
-        }
-        match t {
-            "fig6" => experiments::fig6(scope),
-            "fig7" => experiments::fig7(scope),
-            "fig8" => experiments::fig8(scope),
-            "fig9" => experiments::fig9(scope),
-            "fig10" => experiments::fig10(scope),
-            "fig11" => experiments::fig11(scope),
-            "table1" => experiments::table1(),
-            "table2" => experiments::table2(scope),
-            "table3" => experiments::table3(),
-            "ablations" => experiments::ablations(scope),
-            "ext-arity" => experiments::ext_arity(scope),
-            "ext-dataflow" => experiments::ext_dataflow(scope),
-            "ext-stripped" => experiments::ext_stripped(scope),
-            other => {
+            (Some(g), _) => (g.run)(scope),
+            (None, "fig6") => experiments::fig6(scope),
+            (None, "fig8") => experiments::fig8(scope),
+            (None, "fig11") => experiments::fig11(scope),
+            (None, "table1") => experiments::table1(),
+            (None, "table3") => experiments::table3(),
+            (None, "ablations") => experiments::ablations(scope),
+            (None, "ext-arity") => experiments::ext_arity(scope),
+            (None, "ext-dataflow") => experiments::ext_dataflow(scope),
+            (None, "ext-stripped") => experiments::ext_stripped(scope),
+            (None, other) => {
                 eprintln!("unknown experiment `{other}`");
                 usage();
             }

@@ -1,15 +1,17 @@
-//! The elastic shard coordinator: the flattened experiment grid as a
-//! persistent work queue with cell-level leases in `khaos-store`.
+//! The elastic scheduler: a grid's work units as a persistent work
+//! queue with unit-level leases in `khaos-store`.
 //!
-//! Static sharding (`KHAOS_SHARD=i/n`) partitions a grid up front:
-//! fine for two machines, wasteful at fleet scale where build costs
-//! per cell vary 10× — the sweep finishes when the unluckiest shard
-//! does. The coordinator replaces the static partition with a work
-//! queue that lives *in the shared store itself*:
+//! Every grid experiment ([`crate::grid`]) is one list of work units,
+//! and there are two schedulers over it. Static sharding
+//! (`KHAOS_SHARD=i/n`) hands each process a fixed round-robin share up
+//! front: fine for two machines, wasteful at fleet scale where build
+//! costs per unit vary 10× — the sweep finishes when the unluckiest
+//! shard does. The elastic scheduler here hands out the same units from
+//! a work queue that lives *in the shared store itself*:
 //!
-//! - Every experiment grid flattens into [`WorkUnit`]s. A unit is
-//!   **done** when all of its output report records exist in the
-//!   store; the records are the ground truth, not any scheduler state.
+//! - A [`WorkUnit`] is **done** when all of its output report records
+//!   exist in the store; the records are the ground truth, not any
+//!   scheduler state.
 //! - A worker claims an open unit by creating the unit's **claim
 //!   file** (`rep/<addr>.lease`, atomic `O_EXCL` — see
 //!   [`Store::try_lease_report`]) next to where the unit's records
@@ -23,7 +25,8 @@
 //!   `(program, config, seed)`, so a redo (or even a double-compute
 //!   when a horizon is set shorter than a live worker's build) writes
 //!   byte-identical records: correctness never depends on the lease,
-//!   only wasted work does.
+//!   only wasted work does. For the same reason a store pre-filled by
+//!   static shards is a valid queue: their units count as done.
 //! - Adding a machine mid-run just works: point it at the same store
 //!   and it claims whatever is still open.
 //!
@@ -46,6 +49,7 @@ const POLL: Duration = Duration::from_millis(50);
 /// computed from it (e.g. one Figure-10 `(config, program)` build
 /// shared by all three tool columns), so the lease is taken on a
 /// single anchor cell while doneness checks every output cell.
+#[derive(Clone, Debug)]
 pub struct WorkUnit {
     /// Display name for steal/abort diagnostics, and the needle
     /// `KHAOS_COORD_ABORT_ON` is matched against.
@@ -88,20 +92,13 @@ fn unit_done(store: &Store, unit: &WorkUnit) -> bool {
     })
 }
 
-/// [`run_elastic_with`] at the process-wide lease horizon
-/// (`KHAOS_LEASE_MS`, default 120s — [`Store::lease_horizon`]).
-pub fn run_elastic<F>(store: &Store, what: &str, units: &[WorkUnit], compute: F) -> ElasticSummary
-where
-    F: Fn(usize) + Sync,
-{
-    run_elastic_with(store, what, units, Store::lease_horizon(), compute)
-}
-
 /// Runs one worker's share of an elastic sweep: claim open units,
 /// compute them (`compute(i)` must persist every `units[i].outputs`
 /// record into `store`), release, repeat until the whole grid's
 /// records exist. Blocks while other live workers hold the remaining
-/// units, re-stealing their claims if they go stale.
+/// units, re-stealing their claims once they are older than `horizon`
+/// (the CLI passes [`Store::lease_horizon`]: `KHAOS_LEASE_MS`, default
+/// 120s).
 ///
 /// Claims are taken at most a batch at a time (the machine's
 /// parallelism), so concurrent workers interleave batches instead of
@@ -120,7 +117,7 @@ where
 /// Panics when a computed unit's records are still absent on the
 /// post-batch check — the store is misconfigured (e.g. read-only) and
 /// looping would re-compute the unit forever.
-pub fn run_elastic_with<F>(
+pub fn run_elastic<F>(
     store: &Store,
     what: &str,
     units: &[WorkUnit],

@@ -19,22 +19,23 @@
 //! tiers memory → disk → compute (so fig6–fig11/table2 sweeps
 //! warm-start across processes), [`run_spec`] persists each build's
 //! [`khaos_pass::PipelineReport`] keyed by the pipeline's fingerprint,
-//! and drivers can attach metric results to the same keys via
-//! [`persist_metrics`]. Store writes are atomic renames, so concurrent
-//! [`par_fan_out`] workers share one store safely.
+//! and drivers attach metric results to the same keys via
+//! [`persist_metrics_to`]. Store writes are atomic renames, so
+//! concurrent [`par_fan_out`] workers share one store safely.
 //!
 //! ## Sharding: static and elastic
 //!
-//! `KHAOS_SHARD=i/n` ([`active_shard`]) statically partitions every
-//! grid-shaped driver's flattened work grid; `figN-merge` reassembles
-//! the full grid from the shards' stores. `--elastic` goes further:
-//! the grid becomes a leased work queue *in* the shared store
-//! ([`crate::coordinator`]) — workers claim open cells with atomic
-//! claim files, steal stale claims from dead peers after the lease
-//! horizon, and converge on one complete grid with no up-front
-//! partition. Both modes rely on the same invariant: every cell is a
-//! deterministic function of `(program, config, seed)`, so shards,
-//! stealers, and even double-computed cells merge bit-identically.
+//! A grid experiment ([`crate::grid`]) is one list of work units, and
+//! there are two schedulers over it. `KHAOS_SHARD=i/n`
+//! ([`active_shard`]) is the static one: shard `i` measures the units
+//! `shard.select(units)` picks, and `<name>-merge` reassembles the grid
+//! from the shards' stores. `--elastic` is the dynamic one: the same
+//! units become a leased work queue in the shared store
+//! ([`crate::coordinator`]), so workers claim open units, steal stale
+//! claims from dead peers, and converge with no up-front partition.
+//! Both rely on one invariant: every cell is a deterministic function
+//! of `(program, config, seed)`, so shards, stealers and even
+//! double-computed units write bit-identical records.
 
 use khaos_binary::{lower_module, Binary};
 use khaos_core::KhaosMode;
@@ -152,20 +153,10 @@ pub fn stored_report(subject: &str, report: &PipelineReport) -> StoredReport {
     StoredReport::from_pipeline(subject, report)
 }
 
-/// Persists metric results for a build, keyed by the pipeline's
-/// fingerprint, the experiment seed and a free-form subject (program
-/// name, experiment cell, …). No-op without a configured store; store
-/// errors are swallowed — persistence must never fail an experiment.
-pub fn persist_metrics(subject: &str, pipeline_fingerprint: u64, metrics: &[(&str, f64)]) {
-    if let Some(store) = artifact_store() {
-        persist_metrics_to(&store, subject, pipeline_fingerprint, metrics);
-    }
-}
-
-/// [`persist_metrics`] into an explicit store — the form the sharded
-/// drivers use so tests can target scratch stores without touching the
-/// process-wide `KHAOS_STORE` state. Store errors are swallowed here
-/// too: persistence must never fail an experiment.
+/// Persists metric results for a build into `store`, keyed by the
+/// pipeline's fingerprint, the experiment seed and a free-form subject
+/// (program name, experiment cell, …). Store errors are swallowed:
+/// persistence must never fail an experiment.
 pub fn persist_metrics_to(
     store: &Store,
     subject: &str,
@@ -307,18 +298,6 @@ where
     F: Fn(&I) -> T + Sync,
 {
     khaos_par::par_map_slice(items, f)
-}
-
-/// Builds and measures the `O2+LTO` baseline of every program in
-/// parallel, returning `(optimized module, baseline cycles)` pairs in
-/// input order. Experiment drivers that sweep many configurations over
-/// the same programs hoist this out of their config loops.
-pub fn prepare_baselines(programs: &[Module]) -> Vec<(Module, u64)> {
-    par_fan_out(programs, |src| {
-        let base = build_baseline(src);
-        let cycles = measure_cycles(&base);
-        (base, cycles)
-    })
 }
 
 /// Percentage overhead of `obf` relative to `base`.

@@ -246,7 +246,7 @@ impl Default for BinTuner {
 impl BinTuner {
     /// Runs the search on `source` (an unoptimized module), maximising
     /// difference against its `-O0` build. Candidates are pipeline
-    /// mutations ([`TunerConfig::mutate`] flips one pipeline knob);
+    /// mutations (`TunerConfig::mutate` flips one pipeline knob);
     /// each candidate builds through its generated pipeline.
     pub fn tune(&self, source: &Module) -> TunedResult {
         let mut rng = StdRng::seed_from_u64(self.seed);

@@ -32,7 +32,7 @@
 //!
 //! The experiment `experiments ext-dataflow` compares this tool's
 //! Precision@1 under every obfuscation configuration against the five
-//! paper tools (see `EXPERIMENTS.md`, extension E11).
+//! paper tools.
 
 use crate::tokens::opcode_class;
 use crate::vector::{add_token, EMB_DIM};

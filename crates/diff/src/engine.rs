@@ -298,7 +298,7 @@ impl SimilarityMatrix {
     /// selection instead of a full sort: `O(T + k log k)` rather than
     /// `O(T log T)`.
     ///
-    /// Scores are ordered by the NaN-total [`cmp_scores_desc`]
+    /// Scores are ordered by the NaN-total `cmp_scores_desc`
     /// ordering, so a NaN produced by a buggy scorer degrades
     /// deterministically (positive NaN ranks above `+inf`, negative NaN
     /// below `-inf`) instead of panicking mid-rank, while ordered
@@ -402,7 +402,7 @@ pub struct StreamingTopK {
 }
 
 /// `a` ranks strictly worse than `b`: lower score, or equal score with
-/// higher index — under the same NaN-total [`cmp_scores_desc`] order
+/// higher index — under the same NaN-total `cmp_scores_desc` order
 /// the ranked sorts use, so the candidates [`StreamingTopK`] *retains*
 /// under capacity pressure match [`SimilarityMatrix::top_k`] even when
 /// a buggy scorer emits NaN.
@@ -476,7 +476,7 @@ impl StreamingTopK {
     /// The retained candidates in ranked order (descending score, ties
     /// by lower index) — exactly the order [`SimilarityMatrix::top_k`]
     /// returns. NaN scores sort under the same NaN-total ordering as
-    /// `top_k` ([`cmp_scores_desc`]): deterministic, never a panic.
+    /// `top_k` (`cmp_scores_desc`): deterministic, never a panic.
     pub fn into_ranked(self) -> Vec<(usize, f64)> {
         let mut v: Vec<(usize, f64)> = self.heap.into_iter().map(|(s, j)| (j, s)).collect();
         v.sort_unstable_by(|a, b| cmp_scores_desc(a.1, b.1).then(a.0.cmp(&b.0)));
@@ -490,7 +490,7 @@ impl StreamingTopK {
     ///
     /// The retained *set* is offer-order-independent: retention
     /// decisions compare candidates under the total
-    /// `(score descending, index ascending)` order ([`cmp_scores_desc`]
+    /// `(score descending, index ascending)` order (`cmp_scores_desc`
     /// then index), so the survivors of any merge sequence are exactly
     /// the true top `k` of the union — including the documented
     /// tie-breaks (`-0.0` ties `+0.0` and falls to the lower index; NaN

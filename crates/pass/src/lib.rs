@@ -15,8 +15,8 @@
 //!   through every pass (lent to each transform in turn, so a pipeline
 //!   consumes randomness exactly as the monolithic entry points did),
 //!   one stats sink, and a configurable [`VerifyPolicy`].
-//! * [`Pipeline`] — an ordered pass sequence with a [builder]
-//!   (`Pipeline::builder`), a stable [`Pipeline::fingerprint`] (the
+//! * [`Pipeline`] — an ordered pass sequence with a builder
+//!   ([`Pipeline::builder`]), a stable [`Pipeline::fingerprint`] (the
 //!   build-provenance key `khaos-diff`'s embedding cache uses), and a
 //!   round-trippable textual spec grammar.
 //!

@@ -1418,7 +1418,7 @@ impl Store {
 
     /// Takes the exclusive maintenance lock (used by [`Store::gc`]).
     /// Lock files older than ten minutes are assumed stale (a crashed
-    /// collector) and stolen via [`Store::steal_stale`].
+    /// collector) and stolen via `Store::steal_stale`.
     pub fn lock_exclusive(&self) -> io::Result<StoreLock> {
         let path = self.root.join(GC_LOCK);
         for attempt in 0..2 {
@@ -1464,7 +1464,7 @@ impl Store {
     /// Tries to claim the report cell `key` by creating its
     /// `rep/<addr>.lease` claim file with `O_EXCL`. `Ok(None)` when
     /// another live worker holds the claim; a claim older than
-    /// `horizon` is stolen ([`Store::steal_stale`]) and re-acquired.
+    /// `horizon` is stolen (`Store::steal_stale`) and re-acquired.
     /// The returned [`Lease`] releases on drop; a worker that dies
     /// holding it leaves the claim file for the next stealer.
     pub fn try_lease_report(

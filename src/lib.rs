@@ -11,8 +11,6 @@
 //! "fufi_all | O2+lto")` is the paper's shipped configuration, with
 //! per-pass reports and a stable provenance fingerprint.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory.
-//!
 //! ```
 //! use khaos::prelude::*;
 //!

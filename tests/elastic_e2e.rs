@@ -14,9 +14,8 @@
 //! it. The horizon is injected as a parameter (not `KHAOS_LEASE_MS`)
 //! so parallel tests can't race on process-global state.
 
-use khaos_bench::experiments::{
-    fig10_cells, fig10_elastic_sweep, fig10_expected, fig10_merge, Fig10Cell, Scope,
-};
+use khaos_bench::experiments::{fig10_cells, Fig10, Fig10Cell, Scope};
+use khaos_bench::grid::{elastic_sweep, expected, merge};
 use khaos_bench::{ShardSpec, SEED};
 use khaos_store::{ReportKey, Store};
 use std::path::{Path, PathBuf};
@@ -79,7 +78,7 @@ fn stale_lease_is_stolen_and_the_merged_grid_is_bit_identical() {
 
     // Single-process reference grid (no store, no coordinator).
     let reference = fig10_cells(Scope::Quick, ShardSpec::FULL, None);
-    let expected = fig10_expected(Scope::Quick);
+    let expected = expected::<Fig10>(Scope::Quick);
     assert_eq!(reference.len(), expected.len());
     // Three tool cells per (config, program) unit.
     let units = expected.len() / 3;
@@ -106,7 +105,7 @@ fn stale_lease_is_stolen_and_the_merged_grid_is_bit_identical() {
     // The surviving worker: a tiny horizon makes the dangling claim go
     // stale almost immediately; the sweep must steal it, redo the
     // unit, and finish every unit.
-    let summary = fig10_elastic_sweep(Scope::Quick, &store, Duration::from_millis(100));
+    let summary = elastic_sweep::<Fig10>(Scope::Quick, &store, Duration::from_millis(100));
     assert_eq!(summary.units, units);
     assert!(
         summary.stolen >= 1,
@@ -124,12 +123,12 @@ fn stale_lease_is_stolen_and_the_merged_grid_is_bit_identical() {
 
     // The records the stolen unit's redo wrote — and everything else —
     // merge bit-identically to the single-process reference.
-    let merged = fig10_merge(Scope::Quick, &[&store]).expect("grid is complete");
+    let merged = merge::<Fig10>(Scope::Quick, &[&store]).expect("grid is complete");
     assert_cells_bit_identical(&merged, &reference, "elastic merged vs single-process");
 
     // Re-running a worker over the finished store is a no-op: records
     // are the ground truth of doneness.
-    let again = fig10_elastic_sweep(Scope::Quick, &store, Duration::from_millis(100));
+    let again = elastic_sweep::<Fig10>(Scope::Quick, &store, Duration::from_millis(100));
     assert_eq!(again.already_done, units, "{again:?}");
     assert_eq!(again.computed, 0, "{again:?}");
     assert_eq!(again.stolen, 0, "{again:?}");

@@ -10,19 +10,23 @@
 //!    original list.
 //! 2. **Merge fidelity** — a Figure-10 grid produced by two sharded
 //!    runs persisting into one `khaos-store` and reassembled with
-//!    `fig10_merge` is **cell-for-cell bit-identical** to the
+//!    `grid::merge` is **cell-for-cell bit-identical** to the
 //!    single-process run, and a store missing a shard is refused with a
-//!    precise listing of every missing cell.
+//!    precise listing of every missing cell. Figures 7, 9 and Table 2
+//!    also finish a half-sharded store with the elastic scheduler, and
+//!    a hostile record is named precisely instead of merged.
 
 use khaos_bench::experiments::{
-    fig10_cells, fig10_expected, fig10_merge, fig7_cells, fig7_expected, fig7_merge, fig9_cells,
-    fig9_expected, fig9_merge, table2_cells, table2_expected, table2_merge, Fig10Cell, Scope,
+    fig10_cells, fig7_cells, Fig10, Fig10Cell, Fig7, Fig9, Scope, Table2,
 };
-use khaos_bench::ShardSpec;
+use khaos_bench::grid::{cells, elastic_sweep, expected, merge, GridExperiment};
+use khaos_bench::{persist_metrics_to, ShardSpec};
 use khaos_store::Store;
 use proptest::prelude::*;
+use std::fmt::Debug;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -91,6 +95,38 @@ fn assert_cells_bit_identical(a: &[Fig10Cell], b: &[Fig10Cell], what: &str) {
     }
 }
 
+/// The elastic step: `pre` holds exactly shard 0/2's records. One
+/// worker's sweep over it, at a short injected lease horizon, must
+/// count shard 0's units as done, compute exactly the rest, and leave a
+/// grid that merges cell-for-cell bit-identically to `reference`.
+fn elastic_finishes_shard_0<E: GridExperiment>(pre: &Store, reference: &[E::Cell])
+where
+    E::Cell: Debug,
+{
+    let units = E::new(Scope::Quick).units().len();
+    let shard_0 = ShardSpec::new(0, 2).unwrap().indices(units).count();
+    let summary = elastic_sweep::<E>(Scope::Quick, pre, Duration::from_millis(100));
+    assert_eq!(summary.units, units, "{summary:?}");
+    assert_eq!(summary.already_done, shard_0, "{summary:?}");
+    assert_eq!(summary.computed, units - shard_0, "{summary:?}");
+    let merged = merge::<E>(Scope::Quick, &[pre]).expect("the sweep completes the grid");
+    assert_eq!(merged.len(), reference.len(), "{} elastic cell count", E::NAME);
+    let bits = |c: &E::Cell| -> Vec<u64> { E::encode(c).into_iter().map(f64::to_bits).collect() };
+    for (m, r) in merged.iter().zip(reference) {
+        assert_eq!(format!("{m:?}"), format!("{r:?}"), "{} elastic cell", E::NAME);
+        assert_eq!(bits(m), bits(r), "{} elastic cell bits", E::NAME);
+    }
+}
+
+/// A fresh store holding a copy of `store`'s records (shard 0's, when
+/// taken right after shard 0 ran) — the seed of the elastic step.
+fn copy_of(store: &Store, tag: &str) -> (PathBuf, Store) {
+    let dir = scratch(tag);
+    let copy = Store::open(&dir).expect("store opens");
+    copy.merge_from(store).expect("records copy");
+    (dir, copy)
+}
+
 /// The acceptance pin: a fig10 grid produced by two sharded runs into
 /// one `khaos-store`, then merged, is cell-for-cell identical to the
 /// single-process run.
@@ -101,7 +137,7 @@ fn two_shards_into_one_store_merge_to_the_single_process_grid() {
 
     // The single-process reference grid (no store involved).
     let reference = fig10_cells(Scope::Quick, ShardSpec::FULL, None);
-    let expected = fig10_expected(Scope::Quick);
+    let expected = expected::<Fig10>(Scope::Quick);
     assert_eq!(reference.len(), expected.len(), "reference grid is complete");
     assert!(reference.len() >= 12, "grid large enough to mean something");
 
@@ -114,7 +150,7 @@ fn two_shards_into_one_store_merge_to_the_single_process_grid() {
     assert!(!a.is_empty() && !b.is_empty(), "both shards own cells");
 
     // The merged grid is complete and bit-identical to the reference.
-    let merged = fig10_merge(Scope::Quick, &[&store]).expect("union of both shards is complete");
+    let merged = merge::<Fig10>(Scope::Quick, &[&store]).expect("union of both shards is complete");
     assert_cells_bit_identical(&merged, &reference, "merged vs single-process");
 
     // Each shard's own cells also match the reference values directly
@@ -141,11 +177,11 @@ fn merge_refuses_an_incomplete_grid_listing_every_missing_cell() {
     let store = Store::open(&dir).expect("store opens");
     let only = fig10_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
 
-    let missing = match fig10_merge(Scope::Quick, &[&store]) {
+    let missing = match merge::<Fig10>(Scope::Quick, &[&store]) {
         Ok(_) => panic!("half a grid must not merge"),
         Err(m) => m,
     };
-    let expected = fig10_expected(Scope::Quick);
+    let expected = expected::<Fig10>(Scope::Quick);
     assert_eq!(
         missing.len(),
         expected.len() - only.len(),
@@ -172,10 +208,10 @@ fn merge_refuses_an_incomplete_grid_listing_every_missing_cell() {
     // complementary shard completes the union.
     let dir2 = scratch("partial2");
     let store2 = Store::open(&dir2).expect("second store opens");
-    assert!(fig10_merge(Scope::Quick, &[&store, &store2]).is_err());
+    assert!(merge::<Fig10>(Scope::Quick, &[&store, &store2]).is_err());
     fig10_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store2));
     let merged =
-        fig10_merge(Scope::Quick, &[&store, &store2]).expect("union across two stores merges");
+        merge::<Fig10>(Scope::Quick, &[&store, &store2]).expect("union across two stores merges");
     assert_eq!(merged.len(), expected.len());
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&dir2).unwrap();
@@ -189,17 +225,18 @@ fn fig7_shards_merge_bit_identically() {
     let dir = scratch("fig7");
     let store = Store::open(&dir).expect("store opens");
     let reference = fig7_cells(Scope::Quick, ShardSpec::FULL, None);
-    assert_eq!(reference.len(), fig7_expected(Scope::Quick).len());
+    assert_eq!(reference.len(), expected::<Fig7>(Scope::Quick).len());
 
     let a = fig7_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
     assert!(
-        fig7_merge(Scope::Quick, &[&store]).is_err(),
+        merge::<Fig7>(Scope::Quick, &[&store]).is_err(),
         "half a grid must not merge"
     );
+    let (pre_dir, pre) = copy_of(&store, "fig7-elastic");
     let b = fig7_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
     assert_eq!(a.len() + b.len(), reference.len());
 
-    let merged = fig7_merge(Scope::Quick, &[&store]).expect("union of both shards is complete");
+    let merged = merge::<Fig7>(Scope::Quick, &[&store]).expect("union of both shards is complete");
     assert_eq!(merged.len(), reference.len());
     for (m, r) in merged.iter().zip(&reference) {
         assert_eq!(
@@ -216,7 +253,9 @@ fn fig7_shards_merge_bit_identically() {
             m.config
         );
     }
+    elastic_finishes_shard_0::<Fig7>(&pre, &reference);
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&pre_dir).unwrap();
 }
 
 /// Figure 9 merge fidelity: every BinTuner/Khaos similarity column and
@@ -225,13 +264,14 @@ fn fig7_shards_merge_bit_identically() {
 fn fig9_shards_merge_bit_identically() {
     let dir = scratch("fig9");
     let store = Store::open(&dir).expect("store opens");
-    let reference = fig9_cells(Scope::Quick, ShardSpec::FULL, None);
-    assert_eq!(reference.len(), fig9_expected(Scope::Quick).len());
+    let reference = cells::<Fig9>(Scope::Quick, ShardSpec::FULL, None);
+    assert_eq!(reference.len(), expected::<Fig9>(Scope::Quick).len());
 
-    fig9_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
-    fig9_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
+    cells::<Fig9>(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
+    let (pre_dir, pre) = copy_of(&store, "fig9-elastic");
+    cells::<Fig9>(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
 
-    let merged = fig9_merge(Scope::Quick, &[&store]).expect("union of both shards is complete");
+    let merged = merge::<Fig9>(Scope::Quick, &[&store]).expect("union of both shards is complete");
     assert_eq!(merged.len(), reference.len());
     for (m, r) in merged.iter().zip(&reference) {
         assert_eq!(
@@ -249,7 +289,9 @@ fn fig9_shards_merge_bit_identically() {
             m.program
         );
     }
+    elastic_finishes_shard_0::<Fig9>(&pre, &reference);
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&pre_dir).unwrap();
 }
 
 /// Table 2 merge fidelity: the raw fission/fusion counters round-trip
@@ -260,13 +302,14 @@ fn fig9_shards_merge_bit_identically() {
 fn table2_shards_merge_bit_identically() {
     let dir = scratch("table2");
     let store = Store::open(&dir).expect("store opens");
-    let reference = table2_cells(Scope::Quick, ShardSpec::FULL, None);
-    assert_eq!(reference.len(), table2_expected(Scope::Quick).len());
+    let reference = cells::<Table2>(Scope::Quick, ShardSpec::FULL, None);
+    assert_eq!(reference.len(), expected::<Table2>(Scope::Quick).len());
 
-    table2_cells(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
-    table2_cells(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
+    cells::<Table2>(Scope::Quick, ShardSpec::new(0, 2).unwrap(), Some(&store));
+    let (pre_dir, pre) = copy_of(&store, "table2-elastic");
+    cells::<Table2>(Scope::Quick, ShardSpec::new(1, 2).unwrap(), Some(&store));
 
-    let merged = table2_merge(Scope::Quick, &[&store]).expect("union of both shards is complete");
+    let merged = merge::<Table2>(Scope::Quick, &[&store]).expect("union of both shards is complete");
     assert_eq!(merged.len(), reference.len());
     for (m, r) in merged.iter().zip(&reference) {
         assert_eq!(
@@ -297,5 +340,54 @@ fn table2_shards_merge_bit_identically() {
             m.program
         );
     }
+    elastic_finishes_shard_0::<Table2>(&pre, &reference);
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&pre_dir).unwrap();
+}
+
+/// Merge decode validates what comes off disk: one hostile record in an
+/// otherwise complete quick Table-2 store — a negative, fractional,
+/// ≥ 2^53 or non-finite value — is listed precisely, as that cell's
+/// record present but invalid, instead of merging as a saturated count.
+#[test]
+fn merge_names_exactly_the_cell_holding_a_hostile_record() {
+    let dir = scratch("hostile");
+    let store = Store::open(&dir).expect("store opens");
+    let honest = cells::<Table2>(Scope::Quick, ShardSpec::FULL, Some(&store));
+    assert!(merge::<Table2>(Scope::Quick, &[&store]).is_ok());
+    let ids = expected::<Table2>(Scope::Quick);
+    let victim = &ids[1];
+    let write = |values: Vec<f64>| {
+        let metrics: Vec<(&str, f64)> = Table2::METRICS.iter().copied().zip(values).collect();
+        persist_metrics_to(&store, victim.subject(), victim.pipeline, &metrics);
+    };
+    let hostile = [
+        (0, -1.0),
+        (3, 2.5),
+        (8, 2f64.powi(53)),
+        (4, f64::NAN),
+        (13, f64::INFINITY),
+    ];
+    for (metric, value) in hostile {
+        let mut values = Table2::encode(&honest[1]);
+        values[metric] = value;
+        write(values);
+        let listed = match merge::<Table2>(Scope::Quick, &[&store]) {
+            Ok(_) => panic!("{} = {value} must not merge", Table2::METRICS[metric]),
+            Err(listed) => listed,
+        };
+        assert_eq!(listed.len(), 1, "exactly the hostile cell: {listed:?}");
+        assert!(
+            listed[0].starts_with(victim.subject())
+                && listed[0].contains("record present but invalid")
+                && listed[0].contains(Table2::METRICS[metric]),
+            "`{}` must name {} and its bad metric",
+            listed[0],
+            victim.subject()
+        );
+    }
+    // The honest record merges again.
+    write(Table2::encode(&honest[1]));
+    assert!(merge::<Table2>(Scope::Quick, &[&store]).is_ok());
     std::fs::remove_dir_all(&dir).unwrap();
 }
