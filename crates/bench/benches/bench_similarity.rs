@@ -10,18 +10,18 @@
 //! `kernels` section (which SIMD dispatch won, per-kernel ns/dot and
 //! speedup over the naive scalar loop, with a hard forced-scalar-vs-
 //! dispatched ranked-bit-equivalence gate) and a `quantized` section
-//! (int8 shortlist scan cost per candidate, bytes per function, and
-//! the recall-1.0-after-exact-re-rank gate).
+//! (int8 block-scan cost per candidate and bytes per function; the
+//! live int8 path's recall gate is the `index` section's).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use khaos_bench::{build_baseline, khaos_apply, SEED};
 use khaos_binary::{lower_module, Binary};
 use khaos_core::KhaosMode;
-use khaos_diff::engine::{dot_scalar, stream_top_k, EmbedScorer, FunctionEmbeddings};
+use khaos_diff::engine::{dot_scalar, FunctionEmbeddings};
 use khaos_diff::kernels::{self, KernelKind};
 use khaos_diff::{
-    escape_at_k, escape_profile_with, stream_top_k_quantized, Asm2Vec, BinDiff, DataFlowDiff,
-    Differ, EmbeddingCache, QuantizedEmbeddings, Safe, VulSeeker, QUANT_SHORTLIST_FACTOR,
+    escape_at_k, escape_profile_with, Asm2Vec, BinDiff, DataFlowDiff, Differ, EmbeddingCache,
+    QuantizedEmbeddings, Safe, VulSeeker,
 };
 use khaos_pass::{PassCtx, Pipeline, VerifyPolicy};
 use khaos_workloads::{generate, ProgramProfile};
@@ -579,9 +579,9 @@ fn bench_similarity(c: &mut Criterion) {
     // One untimed call warms the embedding cache so the measurement is
     // rank work only, as labeled.
     let stream_cache = EmbeddingCache::new(8);
-    let _ = khaos_diff::escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache);
+    let _ = escape_profile_with(&a2v, &base_bin, &obf_bin, &KS, &stream_cache);
     let (streaming_ns, _) = time_ns(5, || {
-        khaos_diff::escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache)
+        escape_profile_with(&a2v, &base_bin, &obf_bin, &KS, &stream_cache)
             .iter()
             .sum()
     });
@@ -609,7 +609,7 @@ fn bench_similarity(c: &mut Criterion) {
         f.provenance.annotations.push("vulnerable".into());
     }
     let par_cache = EmbeddingCache::new(8);
-    let _ = khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
+    let _ = escape_profile_with(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
     let queries: Vec<usize> = (0..all_vuln.functions.len()).collect();
 
     // An operator-provided KHAOS_THREADS cap is restored after every
@@ -626,8 +626,7 @@ fn bench_similarity(c: &mut Criterion) {
         std::env::set_var("KHAOS_THREADS", threads);
         let scorer = a2v.row_scorer(&all_vuln, &obf_bin, &par_cache);
         let ranked = khaos_diff::par_stream_top_k_rows(scorer.as_ref(), &queries, 50);
-        let escape =
-            khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
+        let escape = escape_profile_with(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
         restore_threads();
         (ranked, escape)
     };
@@ -656,14 +655,14 @@ fn bench_similarity(c: &mut Criterion) {
     // KHAOS_THREADS cap when set, machine parallelism otherwise).
     std::env::set_var("KHAOS_THREADS", "1");
     let (par_seq_ns, seq_v) = time_ns(5, || {
-        khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache)
+        escape_profile_with(&a2v, &all_vuln, &obf_bin, &KS, &par_cache)
             .iter()
             .sum()
     });
     restore_threads();
     let threads = khaos_par::max_threads();
     let (par_mt_ns, par_v) = time_ns(5, || {
-        khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache)
+        escape_profile_with(&a2v, &all_vuln, &obf_bin, &KS, &par_cache)
             .iter()
             .sum()
     });
@@ -782,8 +781,7 @@ fn bench_similarity(c: &mut Criterion) {
         kernels::force_kernel(kind);
         let scorer = a2v.row_scorer(&all_vuln, &obf_bin, &par_cache);
         let ranked = khaos_diff::par_stream_top_k_rows(scorer.as_ref(), &queries, 50);
-        let escape =
-            khaos_diff::escape_profile_streaming(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
+        let escape = escape_profile_with(&a2v, &all_vuln, &obf_bin, &KS, &par_cache);
         kernels::force_kernel(None);
         (ranked, escape)
     };
@@ -812,17 +810,18 @@ fn bench_similarity(c: &mut Criterion) {
     );
 
     // -----------------------------------------------------------------
-    // Quantized shortlist tier: int8 candidate scan vs the exact f64
-    // scan, per candidate, plus the recall gate — shortlist + exact
-    // re-rank must reproduce the exact top-k bit for bit at the fig10
-    // thresholds.
+    // Quantized tier: the int8 block scan (`khaos-index`'s cell scan)
+    // over the whole target as one block vs the exact f64 scan, per
+    // candidate. Its recall gate lives with its consumer: the index
+    // section below pins recall 1.0 through the certified path.
     // -----------------------------------------------------------------
     let qq = QuantizedEmbeddings::from_embeddings(&qe);
     let tq = QuantizedEmbeddings::from_embeddings(&te);
+    let mut qdots = Vec::new();
     let (approx_total_ns, _) = time_ns(3, || {
         let mut acc = 0.0;
         for i in 0..qq.len() {
-            qq.approx_scan(i, &tq, |_, s| acc += s);
+            qq.approx_scan_block(i, &tq, 0..tq.len(), &mut qdots, |_, s| acc += s);
         }
         acc
     });
@@ -832,7 +831,7 @@ fn bench_similarity(c: &mut Criterion) {
     let quant_speedup_scalar = naive_dot_ns / approx_ns;
     let quant_speedup_disp = disp_ns / approx_ns;
     println!(
-        "# quantized: approx scan {approx_ns:.1} ns/candidate vs f64 scalar {naive_dot_ns:.1} \
+        "# quantized: block scan {approx_ns:.1} ns/candidate vs f64 scalar {naive_dot_ns:.1} \
          ({quant_speedup_scalar:.2}x, bar: >= 4x with SIMD) / dispatched {disp_ns:.1} \
          ({quant_speedup_disp:.2}x); {} bytes/function vs {} f64",
         qq.bytes_per_function(),
@@ -845,47 +844,6 @@ fn bench_similarity(c: &mut Criterion) {
              over the scalar f64 scan on a SIMD host (bar: >= 4x)"
         );
     }
-    // Recall + bit-identity of the re-ranked shortlist at the fig10
-    // thresholds, over every query row.
-    let exact_scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
-    let mut recalls = Vec::new();
-    let mut rerank_bits_equal = true;
-    for &k in &KS {
-        let mut hit = 0usize;
-        let mut want = 0usize;
-        for qi in 0..qe.len() {
-            let exact = stream_top_k(&exact_scorer, qi, k);
-            let approx = stream_top_k_quantized(
-                &qq,
-                &tq,
-                &exact_scorer,
-                qi,
-                k,
-                QUANT_SHORTLIST_FACTOR,
-                true,
-            );
-            rerank_bits_equal &= approx.len() == exact.len()
-                && approx
-                    .iter()
-                    .zip(&exact)
-                    .all(|(&(ja, sa), &(jb, sb))| ja == jb && sa.to_bits() == sb.to_bits());
-            want += exact.len();
-            let exact_set: std::collections::HashSet<usize> =
-                exact.iter().map(|&(j, _)| j).collect();
-            hit += approx.iter().filter(|(j, _)| exact_set.contains(j)).count();
-        }
-        recalls.push(hit as f64 / want.max(1) as f64);
-    }
-    assert!(
-        rerank_bits_equal && recalls.iter().all(|&r| r == 1.0),
-        "quantized shortlist (factor {QUANT_SHORTLIST_FACTOR}) failed the recall gate: \
-         recall@{{1,10,50}} = {recalls:?}, rerank bit-equal: {rerank_bits_equal}"
-    );
-    println!(
-        "# quantized: shortlist factor {QUANT_SHORTLIST_FACTOR}, recall@{{1,10,50}} = \
-         [{:.2}, {:.2}, {:.2}], re-ranked output bit-equal: {rerank_bits_equal}",
-        recalls[0], recalls[1], recalls[2]
-    );
 
     // -----------------------------------------------------------------
     // Corpus-scale IVF index tier: a 10k-function corpus, queried
@@ -1069,8 +1027,7 @@ fn bench_similarity(c: &mut Criterion) {
             &obf_bin.functions[meta.function as usize].provenance,
         )
     });
-    let stream_escape =
-        khaos_diff::escape_profile_streaming(&a2v, &base_bin, &obf_bin, &KS, &stream_cache);
+    let stream_escape = escape_profile_with(&a2v, &base_bin, &obf_bin, &KS, &stream_cache);
     let escape_via_index_equal = index_escape
         .iter()
         .zip(&stream_escape)
@@ -1298,21 +1255,16 @@ fn bench_similarity(c: &mut Criterion) {
         kernel_entries.join(",\n"),
     );
     let quant_json = format!(
-        "  \"quantized\": {{\"what\": \"int8 shortlist scan vs exact f64 scan, per candidate, \
-         + recall of shortlist factor {QUANT_SHORTLIST_FACTOR} after exact re-rank\", \
+        "  \"quantized\": {{\"what\": \"int8 block scan (whole target as one block) vs exact \
+         f64 scan, per candidate\", \
          \"approx_scan_ns_per_candidate\": {approx_ns:.1}, \
          \"f64_scalar_scan_ns_per_candidate\": {naive_dot_ns:.1}, \
          \"f64_dispatched_scan_ns_per_candidate\": {disp_ns:.1}, \
          \"speedup_vs_scalar_scan\": {quant_speedup_scalar:.2}, \
          \"speedup_vs_dispatched_scan\": {quant_speedup_disp:.2}, \
-         \"bytes_per_function\": {}, \"f64_bytes_per_function\": {}, \
-         \"recall_at_1\": {:.2}, \"recall_at_10\": {:.2}, \"recall_at_50\": {:.2}, \
-         \"rerank_bits_equal\": {rerank_bits_equal}}}",
+         \"bytes_per_function\": {}, \"f64_bytes_per_function\": {}}}",
         qq.bytes_per_function(),
         qe.dim() * 8,
-        recalls[0],
-        recalls[1],
-        recalls[2],
     );
 
     let json = format!(

@@ -241,7 +241,7 @@ static ACTIVE: AtomicU8 = AtomicU8::new(UNRESOLVED);
 
 /// The dispatch table of the active kernel — resolve once, then call
 /// through it in a hot loop without re-paying the atomic load per dot
-/// (the quantized shortlist scan does exactly this).
+/// (the quantized tier's block scan does exactly this).
 #[inline]
 pub fn active_table() -> &'static KernelTable {
     let idx = ACTIVE.load(Ordering::Relaxed);
@@ -293,8 +293,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     active_table().dot(a, b)
 }
 
-/// The dispatched `i8` dot product (`i32` accumulation) under the
-/// quantized tier's shortlist scan.
+/// The dispatched `i8` dot product (`i32` accumulation) — the
+/// quantized tier's one-pair reference dot.
 #[inline]
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     active_table().dot_i8(a, b)

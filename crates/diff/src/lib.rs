@@ -37,39 +37,38 @@
 //!   portable 8-wide [`dot_blocked`] kernel (naive-scalar-reference
 //!   equivalence pinned at 1e-12);
 //! * an **int8 quantized tier** ([`QuantizedEmbeddings`], ~7× smaller
-//!   rows, integer-exact `dot_i8` kernels) generates shortlists that
-//!   [`stream_top_k_quantized`] re-ranks exactly, bit-identical to the
-//!   f64 streaming path at recall 1.0;
+//!   rows, integer-exact `dot_i8` kernels) is the resident shortlist
+//!   tier of the `khaos-index` corpus index, which re-ranks exactly;
 //! * each binary pair yields one [`SimilarityMatrix`] (flat storage,
 //!   parallel row construction via `khaos-par`, `top_k` by partial
-//!   selection, `O(T)` rank queries) shared by every metric that needs
-//!   it;
-//! * **rank-only queries never materialize that matrix**: `escape@k`
-//!   and the `*_streaming` rank metrics run on a per-tool [`RowScore`]
-//!   scorer — one `O(T)` row of similarities at a time (or `O(k)` via
-//!   [`StreamingTopK`] for ranked retrieval), off the same cached
-//!   embeddings, so 1000+-function binaries rank memory-flat;
+//!   selection) shared by `Precision@1` and whole-binary similarity;
+//! * **rank queries never materialize that matrix**: every rank and
+//!   `escape@k` metric goes through [`ranks_of_true_match`], which runs
+//!   on a per-tool [`RowScore`] scorer — one `O(T)` row of similarities
+//!   at a time (or `O(k)` via [`StreamingTopK`] for ranked retrieval),
+//!   off the same cached embeddings, so 1000+-function binaries rank
+//!   memory-flat;
 //! * embeddings are memoized in the process-wide [`EmbeddingCache`],
 //!   keyed by `(tool name, tool config fingerprint,`
 //!   [`khaos_binary::Binary::fingerprint`]`)`, so a sweep scoring many
 //!   metrics over the same pair embeds each side exactly once.
 //!
-//! **When to use which API:** existing `Differ`-taking signatures
-//! ([`precision_at_1`], [`escape_at_k`], [`rank_of_true_match`],
-//! [`binary_similarity`]) are thin wrappers over the batched engine and
-//! remain the convenient entry points; [`escape_profile`] answers
-//! `escape@k` at several `k` from one rank pass, reusing a cached
-//! matrix when some other metric already built one and streaming
-//! otherwise. Reach for [`Differ::batched_similarity`] plus the matrix
-//! accessors when several metrics need one pair, and for
-//! [`Differ::row_scorer`] / [`engine::stream_top_k`] /
-//! [`escape_profile_streaming`] / [`rank_of_true_match_streaming`] when
-//! ranks are all you need and the matrix should never be allocated. The
-//! legacy per-pair [`Differ::similarity_matrix`] default is kept
-//! unchanged as the *reference implementation*; the equivalence of all
-//! paths — per-pair vs batched matrix vs streaming — to 1e-12 is
-//! pinned by `engine` unit tests and the `batched_engine` integration
-//! suite.
+//! **When to use which API:** ranks come from one entry point,
+//! [`ranks_of_true_match`] — the 1-based rank of each query's true
+//! match, streamed row by row and never through a matrix.
+//! [`escape_profile`] answers `escape@k` at several `k` from one such
+//! rank pass over the vulnerable functions, and [`escape_at_k`] is its
+//! one-threshold form. [`precision_at_1`] and [`binary_similarity`]
+//! read the pair's [`SimilarityMatrix`], built once per pair and cached
+//! ([`EmbeddingCache::matrix_for`]); reach for
+//! [`Differ::batched_similarity`] and the matrix accessors when you
+//! need every cell, and for [`Differ::row_scorer`] with
+//! [`engine::stream_top_k`] for ranked candidates without a matrix.
+//! Corpus-scale search is `khaos-index`'s job. The legacy per-pair
+//! [`Differ::similarity_matrix`] default is kept unchanged as the
+//! *reference implementation*; the equivalence of all paths — per-pair
+//! vs batched matrix vs streaming — to 1e-12 is pinned by `engine` unit
+//! tests and the `batched_engine` integration suite.
 
 mod asm2vec;
 mod bindiff;
@@ -95,13 +94,10 @@ pub use engine::{
 };
 pub use kernels::{dot, dot_i8, KernelKind};
 pub use metrics::{
-    escape_at_k, escape_profile, escape_profile_streaming, escape_profile_with, origins_match,
-    precision_at_1, precision_at_1_with, rank_of_true_match, rank_of_true_match_in,
-    rank_of_true_match_streaming, ranks_of_true_match_streaming,
+    escape_at_k, escape_profile, escape_profile_with, origins_match, precision_at_1,
+    precision_at_1_with, ranks_of_true_match,
 };
-pub use quant::{
-    stream_top_k_quantized, QuantizedEmbeddings, QUANT_SHORTLIST_FACTOR, QUANT_SHORTLIST_MIN,
-};
+pub use quant::QuantizedEmbeddings;
 pub use safe::Safe;
 pub use tokens::{
     block_class_tokens, block_tokens, function_class_stream, function_token_stream, opcode_class,
@@ -198,8 +194,8 @@ pub trait Differ {
 
     /// A streaming row scorer for the pair: scores any `(qi, j)` cell
     /// on demand, holding `O(1)` state beyond the cached embeddings —
-    /// the rank-only metrics ([`escape_profile`],
-    /// [`rank_of_true_match_streaming`], [`engine::stream_top_k`]) run
+    /// the rank metrics ([`ranks_of_true_match`] and the `escape@k`
+    /// metrics on it, [`engine::stream_top_k`]) run
     /// on this instead of materializing the `Q×T`
     /// [`SimilarityMatrix`]. Must score exactly what
     /// [`Differ::batched_similarity_keyed`]'s matrix holds (pinned by

@@ -1,15 +1,16 @@
 //! Evaluation metrics — the paper's §4.2 protocol.
 //!
 //! Every metric runs on the batched similarity engine
-//! ([`crate::engine`]): the similarity matrix for a binary pair is
-//! computed **once** (with cached, pre-normalized embeddings) and all
-//! rank queries are answered against it. The seed implementation
-//! rebuilt the full matrix per call — `escape@k` even rebuilt it per
-//! vulnerable query function — which made the §4.2 inner loop
-//! quadratic in redundant work.
+//! ([`crate::engine`]) over cached, pre-normalized embeddings.
+//! `Precision@1` reads the pair's similarity matrix, built **once**;
+//! every rank and `escape@k` query streams through one entry point,
+//! [`ranks_of_true_match`], and never builds a matrix. The seed
+//! implementation rebuilt the full matrix per call — `escape@k` even
+//! rebuilt it per vulnerable query function — which made the §4.2 inner
+//! loop quadratic in redundant work.
 
-use crate::engine::{par_stream_ranks, stream_rank_of_first_match, EmbeddingCache};
-use crate::{Differ, SimilarityMatrix};
+use crate::engine::{par_stream_ranks, EmbeddingCache};
+use crate::Differ;
 use khaos_binary::{BinProvenance, Binary};
 
 /// Indices of the query binary's `vulnerable`-annotated functions —
@@ -66,72 +67,32 @@ pub fn precision_at_1_with(
     hits as f64 / baseline.functions.len() as f64
 }
 
-/// 1-based rank of the first true match for query `qi` in `matrix`'s
-/// candidate ranking (descending similarity, ties by lower index), or
-/// `None` when no candidate matches at all.
-pub fn rank_of_true_match_in(
-    matrix: &SimilarityMatrix,
-    baseline: &Binary,
-    obf: &Binary,
-    qi: usize,
-) -> Option<usize> {
-    let qprov = &baseline.functions[qi].provenance;
-    matrix.rank_of_first_match(qi, |j| origins_match(qprov, &obf.functions[j].provenance))
-}
-
-/// 1-based rank of the first true match for query function `qi` in the
-/// candidate ranking, or `None` when no candidate matches at all.
+/// 1-based rank of the first true match for each query function in
+/// `queries`, in input order (`None` when no candidate matches at all)
+/// — the one rank entry point every rank and escape metric runs on.
 ///
-/// Convenience wrapper that builds (or fetches from cache) the matrix
-/// for one query; rank many queries via [`rank_of_true_match_in`] on a
-/// shared [`SimilarityMatrix`] instead, or via
-/// [`rank_of_true_match_streaming`] when no matrix should be built at
-/// all.
-pub fn rank_of_true_match(
-    tool: &dyn Differ,
-    baseline: &Binary,
-    obf: &Binary,
-    qi: usize,
-) -> Option<usize> {
-    let matrix = EmbeddingCache::global().matrix_for(tool, baseline, obf);
-    rank_of_true_match_in(&matrix, baseline, obf, qi)
-}
-
-/// [`rank_of_true_match`] on the streaming path: scores query `qi`
-/// against the candidates row-wise off cached embeddings and ranks in
-/// that single `O(T)` row — the full `Q×T` [`SimilarityMatrix`] is
-/// never allocated. Equivalent to the matrix path (pinned by
-/// `tests/batched_engine.rs`).
-pub fn rank_of_true_match_streaming(
-    tool: &dyn Differ,
-    baseline: &Binary,
-    obf: &Binary,
-    qi: usize,
-    cache: &EmbeddingCache,
-) -> Option<usize> {
-    let scorer = tool.row_scorer(baseline, obf, cache);
-    let qprov = &baseline.functions[qi].provenance;
-    let mut scratch = Vec::new();
-    stream_rank_of_first_match(scorer.as_ref(), qi, &mut scratch, |j| {
-        origins_match(qprov, &obf.functions[j].provenance)
-    })
-}
-
-/// [`rank_of_true_match_streaming`] for many query functions at once,
-/// parallelized across query rows (each row is an independent `O(T)`
-/// scan — the embarrassingly parallel axis of the §4.2 protocol).
-/// Returns one rank per entry of `queries`, in input order,
-/// bit-identical to per-query sequential calls at any `KHAOS_THREADS`
-/// (pinned by `tests/batched_engine.rs`). Memory stays
-/// `O(threads × T)`: each worker reuses one scratch row.
-pub fn ranks_of_true_match_streaming(
+/// Both sides are fingerprinted once and the tool's
+/// [`crate::RowScore`] scores one `O(T)` row per query off cached
+/// embeddings: the `Q×T` [`crate::SimilarityMatrix`] is never
+/// allocated, and memory stays `O(threads × T)` however many queries
+/// are ranked. Query rows rank **in parallel** ([`par_stream_ranks`]),
+/// bit-identical to a sequential scan at any `KHAOS_THREADS`, and the
+/// ranks equal the matrix path's (ties broken by lower candidate index;
+/// pinned by `tests/batched_engine.rs`).
+pub fn ranks_of_true_match(
     tool: &dyn Differ,
     baseline: &Binary,
     obf: &Binary,
     queries: &[usize],
     cache: &EmbeddingCache,
 ) -> Vec<Option<usize>> {
-    let scorer = tool.row_scorer(baseline, obf, cache);
+    let scorer = tool.row_scorer_keyed(
+        baseline,
+        obf,
+        cache,
+        baseline.fingerprint(),
+        obf.fingerprint(),
+    );
     par_stream_ranks(scorer.as_ref(), queries, |qi, j| {
         origins_match(
             &baseline.functions[qi].provenance,
@@ -147,10 +108,10 @@ pub fn escape_at_k(tool: &dyn Differ, baseline: &Binary, obf: &Binary, k: usize)
     escape_profile(tool, baseline, obf, &[k])[0]
 }
 
-/// `escape@k` at several `k` thresholds from **one** similarity matrix
-/// and one rank pass per vulnerable query — the batched form of
-/// [`escape_at_k`] (the seed implementation rebuilt the full matrix for
-/// every vulnerable query of every threshold).
+/// `escape@k` at several `k` thresholds from **one** rank pass per
+/// vulnerable query — the batched form of [`escape_at_k`] (the seed
+/// implementation rebuilt the full matrix for every vulnerable query of
+/// every threshold).
 pub fn escape_profile(
     tool: &dyn Differ,
     baseline: &Binary,
@@ -160,17 +121,10 @@ pub fn escape_profile(
     escape_profile_with(tool, baseline, obf, ks, EmbeddingCache::global())
 }
 
-/// [`escape_profile`] against an explicit embedding cache.
-///
-/// Rank-only: when the pair's similarity matrix is already resident
-/// (some earlier metric paid for it), ranks are answered from it; when
-/// it is not, the ranks stream off the tool's [`crate::RowScore`] —
-/// one `O(T)` row per vulnerable query, cached embeddings, and **no
-/// `Q×T` matrix allocation ever** (on large binaries with few
-/// vulnerable functions this is also far less dot-product work than a
-/// matrix build). The streaming rank pass runs **in parallel across
-/// vulnerable query rows** ([`par_stream_ranks`]), bit-identical to the
-/// sequential scan at any `KHAOS_THREADS`.
+/// [`escape_profile`] against an explicit embedding cache: the
+/// vulnerable functions ranked through [`ranks_of_true_match`]. It
+/// never builds a similarity matrix and never reads one, even when
+/// another metric left the pair's matrix resident.
 pub fn escape_profile_with(
     tool: &dyn Differ,
     baseline: &Binary,
@@ -182,46 +136,7 @@ pub fn escape_profile_with(
     if vulnerable.is_empty() {
         return vec![0.0; ks.len()];
     }
-    let qfp = baseline.fingerprint();
-    let tfp = obf.fingerprint();
-    let ranks: Vec<Option<usize>> = match cache.peek_matrix(tool, qfp, tfp) {
-        Some(matrix) => vulnerable
-            .iter()
-            .map(|&qi| rank_of_true_match_in(&matrix, baseline, obf, qi))
-            .collect(),
-        None => {
-            let scorer = tool.row_scorer_keyed(baseline, obf, cache, qfp, tfp);
-            par_stream_ranks(scorer.as_ref(), &vulnerable, |qi, j| {
-                origins_match(
-                    &baseline.functions[qi].provenance,
-                    &obf.functions[j].provenance,
-                )
-            })
-        }
-    };
-    escape_from_ranks(&ranks, ks)
-}
-
-/// [`escape_profile`] forced onto the streaming path: never touches a
-/// cached matrix, never builds one. The memory guarantee is
-/// unconditional (`O(threads × T)` scratch regardless of how many
-/// thresholds or queries), at the cost of re-scoring even when a matrix
-/// is resident. Vulnerable query rows rank **in parallel**
-/// ([`par_stream_ranks`]; each worker reuses one scratch row),
-/// bit-identical to the sequential scan at any `KHAOS_THREADS` (pinned
-/// by `tests/batched_engine.rs`).
-pub fn escape_profile_streaming(
-    tool: &dyn Differ,
-    baseline: &Binary,
-    obf: &Binary,
-    ks: &[usize],
-    cache: &EmbeddingCache,
-) -> Vec<f64> {
-    let vulnerable = vulnerable_indices(baseline);
-    if vulnerable.is_empty() {
-        return vec![0.0; ks.len()];
-    }
-    let ranks = ranks_of_true_match_streaming(tool, baseline, obf, &vulnerable, cache);
+    let ranks = ranks_of_true_match(tool, baseline, obf, &vulnerable, cache);
     escape_from_ranks(&ranks, ks)
 }
 
@@ -285,12 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_of_true_match_is_one_on_identity() {
+    fn true_match_ranks_first_on_identity() {
         let b = small_binary("m");
         let tool = Asm2Vec::default();
-        for qi in 0..b.functions.len() {
-            assert_eq!(rank_of_true_match(&tool, &b, &b, qi), Some(1));
-        }
+        let queries: Vec<usize> = (0..b.functions.len()).collect();
+        let ranks = ranks_of_true_match(&tool, &b, &b, &queries, &EmbeddingCache::new(4));
+        assert_eq!(ranks, vec![Some(1); queries.len()]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::metrics::origins_match;
 use crate::Differ;
 use khaos_binary::Binary;
 
-/// Seed `rank_of_true_match`: full matrix per call, full sort per
+/// Seed rank of the true match: full matrix per call, full sort per
 /// query (descending similarity, ties by lower index).
 pub fn reference_rank_of_true_match(
     tool: &dyn Differ,

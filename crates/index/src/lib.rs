@@ -842,8 +842,18 @@ impl IvfIndex {
         let rows = table.rows as usize;
         let dim = table.dim as usize;
         let nlist = table.nlist as usize;
-        if table.centroids.len() != nlist * dim || table.assignments.len() != rows {
+        // Checksums do not vouch for meaning: every cell index below is
+        // used unchecked by the layout and radius passes, so a record
+        // naming a cell past `nlist` (or more cells than rows, which
+        // `build` never writes) is refused here, not panicked on.
+        if nlist.checked_mul(dim) != Some(table.centroids.len())
+            || table.assignments.len() != rows
+            || nlist > rows
+        {
             return Err(torn("centroid/assignment shapes disagree"));
+        }
+        if table.assignments.iter().any(|&c| c as usize >= nlist) {
+            return Err(torn("assignment names a cell past nlist"));
         }
         let exact = Arc::new(FunctionEmbeddings::from_flat_normalized(
             rows, dim, flat.data,
@@ -1091,6 +1101,58 @@ mod tests {
         let all = IvfIndex::load_all(&store).unwrap();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].corpus(), idx.corpus());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Hostile index segments are errors or misses, never panics.
+    /// Through `Store::put_index` (checksum valid), a segment with more
+    /// cells than rows reaches the loader and is `InvalidData` for both
+    /// `load` and `load_all`; an out-of-range assignment is already
+    /// refused by the record decoder and reads as a miss. The loader's
+    /// own range and overflow checks are driven directly as well, for
+    /// tables that reach it without that decoder.
+    #[test]
+    fn hostile_segment_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join(format!("khaos-index-hostile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let (e, meta) = synth(40, 8, 5);
+        let idx = IvfIndex::build("VulSeeker", 7, e, meta, &IndexParams::default());
+        idx.save(&store).unwrap();
+        let key = IndexKey {
+            tool: "VulSeeker",
+            config: 7,
+            corpus: idx.corpus(),
+        };
+        let load = || IvfIndex::load(&store, "VulSeeker", 7, idx.corpus());
+        let assert_torn = |r: io::Result<IvfIndex>, what: &str| {
+            let err = r.err().unwrap_or_else(|| panic!("{what}: must be refused"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("torn segment"), "{what}: {err}");
+        };
+
+        let mut more_cells = idx.to_table();
+        more_cells.nlist = more_cells.rows + 1;
+        more_cells.centroids = vec![0.0; (more_cells.nlist * more_cells.dim) as usize];
+        store.put_index(&key, &more_cells).unwrap();
+        assert_torn(
+            load().map(|o| o.expect("record decodes")),
+            "more cells than rows",
+        );
+        assert!(IvfIndex::load_all(&store).is_err(), "load_all");
+
+        let mut past_nlist = idx.to_table();
+        past_nlist.assignments[3] = past_nlist.nlist as u32;
+        store.put_index(&key, &past_nlist).unwrap();
+        assert!(load().unwrap().is_none(), "the decoder reads it as a miss");
+        assert!(IvfIndex::load_all(&store).unwrap().is_empty());
+
+        let direct =
+            |t: IndexTable| IvfIndex::load_with_table(&store, "VulSeeker", 7, idx.corpus(), t);
+        assert_torn(direct(past_nlist), "assignment past nlist");
+        let mut overflow = idx.to_table();
+        overflow.nlist = u64::MAX / 2 + 1;
+        assert_torn(direct(overflow), "nlist * dim overflows");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

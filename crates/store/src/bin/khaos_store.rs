@@ -23,8 +23,13 @@
 //!                  `report` accepts several DIRs and reads their union
 //!                  (first store wins on duplicate keys).
 //! ```
+//!
+//! Every command writes its report through one `io::Write` and returns
+//! `io::Result`; a closed stdout (`khaos-store ls | head`) ends the
+//! command quietly with success instead of a panic.
 
 use khaos_store::Store;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 struct Args {
@@ -105,12 +110,29 @@ fn open_all(dirs: &[String]) -> std::io::Result<Vec<Store>> {
 }
 
 fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // The reader went away (`| head`, `| grep -q`): nothing left
+        // to tell it, and the command's work is done or unneeded.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("khaos-store: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parses the arguments and runs one command, writing its report to
+/// `out`. Usage errors are reported here (exit 2); I/O errors, of the
+/// store or of `out`, are returned.
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("khaos-store: {e}");
             eprintln!("{USAGE}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
 
@@ -120,7 +142,7 @@ fn main() -> ExitCode {
     let needle = if args.command == "cat" {
         if positional.is_empty() {
             eprintln!("khaos-store: cat needs a record address (16 hex digits or section/file)");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         Some(positional.remove(0))
     } else {
@@ -129,108 +151,77 @@ fn main() -> ExitCode {
     // `merge SRC... DST` has its own positional grammar (and a
     // write-side destination), handled before the read-side open path.
     if args.command == "merge" {
-        return cmd_merge(&positional);
+        return cmd_merge(out, &positional);
     }
     if args.command != "report" && positional.len() > 1 {
         eprintln!("khaos-store: {} takes at most one DIR", args.command);
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     let dirs = match resolve_dirs(&positional) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("khaos-store: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
-    let stores = match open_all(&dirs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("khaos-store: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let stores = open_all(&dirs)?;
 
-    let result = match args.command.as_str() {
-        "stats" => cmd_stats(&stores[0]),
-        "ls" => cmd_ls(&stores[0]),
-        "verify" => cmd_verify(&stores[0]),
-        "cat" => cmd_cat(&stores[0], needle.as_deref().expect("checked above")),
-        "report" => cmd_report(&stores),
+    match args.command.as_str() {
+        "stats" => cmd_stats(out, &stores[0]),
+        "ls" => cmd_ls(out, &stores[0]),
+        "verify" => cmd_verify(out, &stores[0]),
+        "cat" => cmd_cat(out, &stores[0], needle.as_deref().expect("checked above")),
+        "report" => cmd_report(out, &stores),
         "gc" => match args.max_bytes {
-            Some(max) => cmd_gc(&stores[0], max),
+            Some(max) => cmd_gc(out, &stores[0], max),
             None => {
                 eprintln!("khaos-store: gc needs --max-bytes");
-                return ExitCode::from(2);
+                Ok(ExitCode::from(2))
             }
         },
         other => {
             eprintln!("khaos-store: unknown command `{other}`");
             eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("khaos-store: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::from(2))
         }
     }
 }
 
-fn cmd_merge(positional: &[String]) -> ExitCode {
+fn cmd_merge(out: &mut impl Write, positional: &[String]) -> io::Result<ExitCode> {
     if positional.len() < 2 {
         eprintln!("khaos-store: merge needs at least one SRC and exactly one DST directory");
         eprintln!("{USAGE}");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     let (srcs, dst) = positional.split_at(positional.len() - 1);
     // Sources must already be stores (a typo'd SRC is an error, not an
     // empty merge); the destination is the one directory `merge` may
     // create.
-    let dest = match Store::open(&dst[0]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("khaos-store: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let dest = Store::open(&dst[0])?;
     let mut copied = 0u64;
     let mut skipped = 0u64;
     for dir in srcs {
-        let src = match Store::open_existing(dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("khaos-store: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match dest.merge_from(&src) {
-            Ok(s) => {
-                println!(
-                    "merged {dir}: {} record(s) copied, {} already present",
-                    s.copied, s.skipped
-                );
-                copied += s.copied;
-                skipped += s.skipped;
-            }
-            Err(e) => {
-                eprintln!("khaos-store: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let s = dest.merge_from(&Store::open_existing(dir)?)?;
+        writeln!(
+            out,
+            "merged {dir}: {} record(s) copied, {} already present",
+            s.copied, s.skipped
+        )?;
+        copied += s.copied;
+        skipped += s.skipped;
     }
-    println!(
+    writeln!(
+        out,
         "merge: {copied} record(s) copied, {skipped} skipped into {}",
         dest.root().display()
-    );
-    ExitCode::SUCCESS
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_cat(store: &Store, needle: &str) -> std::io::Result<ExitCode> {
+fn cmd_cat(out: &mut impl Write, store: &Store, needle: &str) -> io::Result<ExitCode> {
     match store.cat(needle)? {
         Some(dump) => {
-            print!("{dump}");
+            write!(out, "{dump}")?;
             Ok(ExitCode::SUCCESS)
         }
         None => {
@@ -243,7 +234,7 @@ fn cmd_cat(store: &Store, needle: &str) -> std::io::Result<ExitCode> {
     }
 }
 
-fn cmd_report(stores: &[Store]) -> std::io::Result<ExitCode> {
+fn cmd_report(out: &mut impl Write, stores: &[Store]) -> io::Result<ExitCode> {
     // Union across stores, first store wins on duplicate keys —
     // exactly the precedence the shard-merge layer uses.
     let mut seen = std::collections::HashSet::new();
@@ -258,7 +249,8 @@ fn cmd_report(stores: &[Store]) -> std::io::Result<ExitCode> {
     all.sort_by(|a, b| (&a.subject, a.pipeline, a.seed).cmp(&(&b.subject, b.pipeline, b.seed)));
     for r in &all {
         let metrics: Vec<String> = r.metrics.iter().map(|(n, v)| format!("{n}={v}")).collect();
-        println!(
+        writeln!(
+            out,
             "{:<44} pipeline={:016x} seed={:#x} {}",
             r.subject,
             r.pipeline,
@@ -268,20 +260,21 @@ fn cmd_report(stores: &[Store]) -> std::io::Result<ExitCode> {
             } else {
                 metrics.join(" ")
             }
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{} report record(s) across {} store(s)",
         all.len(),
         stores.len()
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_stats(store: &Store) -> std::io::Result<ExitCode> {
+fn cmd_stats(out: &mut impl Write, store: &Store) -> io::Result<ExitCode> {
     let s = store.stats()?;
-    println!("store: {}", store.root().display());
-    println!("{:<12} {:>8} {:>12}", "section", "records", "bytes");
+    writeln!(out, "store: {}", store.root().display())?;
+    writeln!(out, "{:<12} {:>8} {:>12}", "section", "records", "bytes")?;
     for (name, sec) in [
         ("embeddings", s.embeddings),
         ("matrices", s.matrices),
@@ -289,61 +282,72 @@ fn cmd_stats(store: &Store) -> std::io::Result<ExitCode> {
         ("quantized", s.quantized),
         ("indexes", s.indexes),
     ] {
-        println!("{:<12} {:>8} {:>12}", name, sec.records, human(sec.bytes));
+        writeln!(
+            out,
+            "{:<12} {:>8} {:>12}",
+            name,
+            sec.records,
+            human(sec.bytes)
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{:<12} {:>8} {:>12}",
         "total",
         s.total_records(),
         human(s.total_bytes())
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_ls(store: &Store) -> std::io::Result<ExitCode> {
+fn cmd_ls(out: &mut impl Write, store: &Store) -> io::Result<ExitCode> {
     for r in store.ls()? {
-        println!(
+        writeln!(
+            out,
             "{:<4} {:<22} {:>12}  {}",
             r.section,
             r.file,
             human(r.bytes),
             r.key.as_deref().unwrap_or("<undecodable>")
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_verify(store: &Store) -> std::io::Result<ExitCode> {
+fn cmd_verify(out: &mut impl Write, store: &Store) -> io::Result<ExitCode> {
     let issues = store.verify()?;
     let stats = store.stats()?;
     if issues.is_empty() {
-        println!(
+        writeln!(
+            out,
             "ok: {} records, {} — all checksums, addresses and shapes verify",
             stats.total_records(),
             human(stats.total_bytes())
-        );
+        )?;
         return Ok(ExitCode::SUCCESS);
     }
     for i in &issues {
-        println!("BAD {:<28} {}", i.file, i.reason);
+        writeln!(out, "BAD {:<28} {}", i.file, i.reason)?;
     }
-    println!(
+    writeln!(
+        out,
         "{} of {} records damaged",
         issues.len(),
         stats.total_records()
-    );
+    )?;
     Ok(ExitCode::FAILURE)
 }
 
-fn cmd_gc(store: &Store, max_bytes: u64) -> std::io::Result<ExitCode> {
+fn cmd_gc(out: &mut impl Write, store: &Store, max_bytes: u64) -> io::Result<ExitCode> {
     let g = store.gc(max_bytes)?;
-    println!(
+    writeln!(
+        out,
         "gc: scanned {} records, deleted {} (oldest first): {} -> {} (target {})",
         g.scanned,
         g.deleted,
         human(g.bytes_before),
         human(g.bytes_after),
         human(max_bytes)
-    );
+    )?;
     Ok(ExitCode::SUCCESS)
 }

@@ -5,11 +5,12 @@
 //! Pinned here: a real merge copies records and is idempotent; a
 //! damaged source is refused wholesale (verify-then-copy — no partial
 //! merge leaves the destination half-poisoned); a typo'd source path
-//! is an error, not an empty merge.
+//! is an error, not an empty merge; a closed stdout is a quiet end,
+//! not a panic.
 
 use khaos_store::{ReportKey, Store, StoredReport};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -139,6 +140,35 @@ fn merge_refuses_a_nonexistent_source() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("no such store directory"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dd);
+}
+
+/// A reader that goes away (`merge … | grep -q …`) ends the merge
+/// quietly: no panic backtrace, no exit 101 — the records are merged
+/// all the same.
+#[test]
+fn merge_survives_a_closed_stdout() {
+    let (da, dd) = (scratch("pipe"), scratch("pipe-dst"));
+    put(&Store::open(&da).unwrap(), "fig7/p", 4.5);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_khaos-store"))
+        .arg("merge")
+        .arg(&da)
+        .arg(&dd)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("khaos-store runs");
+    // Close the read end before the child writes a byte.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("khaos-store exits");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    let dst = Store::open_existing(&dd).expect("merge created a real store");
+    assert!(get(&dst, "fig7/p").is_some(), "the record still arrived");
+    for d in [&da, &dd] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }
 
 /// Returns the path of the `n`-th (1-based) report record file found

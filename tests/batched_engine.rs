@@ -5,10 +5,9 @@
 //! with their from-scratch definitions.
 
 use khaos::diff::{
-    binary_similarity, dot_blocked, escape_at_k, escape_profile, escape_profile_streaming,
-    escape_profile_with, origins_match, precision_at_1, rank_of_true_match,
-    rank_of_true_match_streaming, ranks_of_true_match_streaming, Asm2Vec, BinDiff, DataFlowDiff,
-    Differ, EmbeddingCache, Safe, StreamingTopK, VulSeeker,
+    binary_similarity, dot_blocked, escape_at_k, escape_profile, escape_profile_with,
+    origins_match, precision_at_1, ranks_of_true_match, Asm2Vec, BinDiff, DataFlowDiff, Differ,
+    EmbeddingCache, Safe, StreamingTopK, VulSeeker,
 };
 use khaos::obfuscate::{KhaosContext, KhaosMode};
 use khaos::opt::{optimize, OptOptions};
@@ -100,18 +99,27 @@ fn metric_wrappers_match_seed_semantics() {
     for f in base_bin.functions.iter_mut().step_by(3) {
         f.provenance.annotations.push("vulnerable".into());
     }
+    let queries: Vec<usize> = (0..base_bin.functions.len()).collect();
     for tool in five_tools() {
-        // Ranks for every query function.
-        for qi in 0..base_bin.functions.len() {
+        // Ranks for every query function, from the one rank entry point.
+        let ranks = ranks_of_true_match(
+            tool.as_ref(),
+            &base_bin,
+            &obf_bin,
+            &queries,
+            EmbeddingCache::global(),
+        );
+        assert_eq!(ranks.len(), queries.len(), "{}", tool.name());
+        for (qi, got) in ranks.into_iter().enumerate() {
             assert_eq!(
-                rank_of_true_match(tool.as_ref(), &base_bin, &obf_bin, qi),
+                got,
                 seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi),
                 "{} rank qi={qi}",
                 tool.name()
             );
         }
-        // escape@k from the single-matrix path vs the per-query seed
-        // definition, across thresholds.
+        // escape@k from one rank pass vs the per-query seed definition,
+        // across thresholds.
         let vulnerable: Vec<usize> = base_bin
             .functions
             .iter()
@@ -278,10 +286,11 @@ fn streaming_metrics_match_seed_semantics_for_all_tools() {
         f.provenance.annotations.push("vulnerable".into());
     }
     let ks = [1usize, 3, 10, 50, 10_000];
+    let queries: Vec<usize> = (0..base_bin.functions.len()).collect();
     for tool in five_tools() {
         let cache = EmbeddingCache::new(16);
-        // Forced-streaming escape against the frozen per-query seed path.
-        let profile = escape_profile_streaming(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache);
+        // Streaming escape against the frozen per-query seed path.
+        let profile = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache);
         for (k, got) in ks.iter().zip(&profile) {
             let want = seed_escape(tool.as_ref(), &base_bin, &obf_bin, *k);
             assert!(
@@ -291,9 +300,10 @@ fn streaming_metrics_match_seed_semantics_for_all_tools() {
             );
         }
         // Streaming ranks against the seed full-sort ranks.
-        for qi in 0..base_bin.functions.len() {
+        let ranks = ranks_of_true_match(tool.as_ref(), &base_bin, &obf_bin, &queries, &cache);
+        for (qi, got) in ranks.into_iter().enumerate() {
             assert_eq!(
-                rank_of_true_match_streaming(tool.as_ref(), &base_bin, &obf_bin, qi, &cache),
+                got,
                 seed_rank(tool.as_ref(), &base_bin, &obf_bin, qi),
                 "{} rank qi={qi}",
                 tool.name()
@@ -318,29 +328,63 @@ fn streaming_metrics_match_seed_semantics_for_all_tools() {
 
 #[test]
 fn rank_only_queries_never_build_a_matrix() {
+    use khaos::diff::engine::rank_of_first_match_in_row;
     let (mut base_bin, obf_bin) = obfuscated_pair(59, KhaosMode::Fission);
     base_bin.functions[0]
         .provenance
         .annotations
         .push("vulnerable".into());
+    let ks = [1usize, 10, 50];
     for tool in five_tools() {
         let cache = EmbeddingCache::new(16);
-        let _ = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &[1, 10, 50], &cache);
-        let _ = escape_profile_streaming(tool.as_ref(), &base_bin, &obf_bin, &[1, 10], &cache);
-        let _ = rank_of_true_match_streaming(tool.as_ref(), &base_bin, &obf_bin, 0, &cache);
+        let via_stream = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache);
+        let _ = ranks_of_true_match(tool.as_ref(), &base_bin, &obf_bin, &[0], &cache);
         assert_eq!(
             cache.stats().matrix_entries,
             0,
             "{}: rank-only metrics must not materialize a Q×T matrix",
             tool.name()
         );
+        // With embeddings warm and no matrix, one escape call costs
+        // this many cache hits (the scorer's embedding lookups).
+        let before = cache.stats().hits;
+        let _ = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache);
+        let stream_hits = cache.stats().hits - before;
+
         // Once some other metric pays for the matrix, the escape
-        // wrapper reuses it (and still agrees with itself).
-        let via_stream = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &[1, 10], &cache);
+        // metric still streams: the resident matrix is never looked up
+        // (no hit beyond the embedding lookups above)…
         let _ = khaos::diff::precision_at_1_with(tool.as_ref(), &base_bin, &obf_bin, &cache);
         assert_eq!(cache.stats().matrix_entries, 1, "{}", tool.name());
-        let via_matrix = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &[1, 10], &cache);
-        assert_eq!(via_stream, via_matrix, "{}", tool.name());
+        let before = cache.stats().hits;
+        let with_matrix = escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache);
+        assert_eq!(
+            cache.stats().hits - before,
+            stream_hits,
+            "{}: a resident matrix must not be consulted by the rank path",
+            tool.name()
+        );
+        assert_eq!(cache.stats().matrix_entries, 1, "{}", tool.name());
+        // …and the profile equals the one ranked from that matrix's rows.
+        let matrix = cache.matrix_for(tool.as_ref(), &base_bin, &obf_bin);
+        let from_rows: Vec<f64> = ks
+            .iter()
+            .map(|&k| {
+                let rank = rank_of_first_match_in_row(matrix.row(0), |j| {
+                    origins_match(
+                        &base_bin.functions[0].provenance,
+                        &obf_bin.functions[j].provenance,
+                    )
+                });
+                if rank.is_some_and(|r| r <= k) {
+                    0.0
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        assert_eq!(with_matrix, from_rows, "{}", tool.name());
+        assert_eq!(via_stream, with_matrix, "{}", tool.name());
     }
 }
 
@@ -367,13 +411,11 @@ fn escape_profile_edge_cases() {
         })
         .count();
     let want = matchless as f64 / base_bin.functions.len() as f64;
-    for profile in [
-        escape_profile_with(&tool, &base_bin, &obf_bin, &[t, t + 1, 10 * t], &cache),
-        escape_profile_streaming(&tool, &base_bin, &obf_bin, &[t, t + 1, 10 * t], &cache),
-    ] {
-        for got in profile {
-            assert!((got - want).abs() <= 1e-12, "k >= T escape: {got} vs {want}");
-        }
+    for got in escape_profile_with(&tool, &base_bin, &obf_bin, &[t, t + 1, 10 * t], &cache) {
+        assert!(
+            (got - want).abs() <= 1e-12,
+            "k >= T escape: {got} vs {want}"
+        );
     }
 
     // Single-function binaries: rank is 1 when provenances intersect
@@ -384,20 +426,20 @@ fn escape_profile_edge_cases() {
         .annotations
         .push("vulnerable".into());
     assert_eq!(
-        escape_profile_streaming(&tool, &solo, &solo, &[1, 2], &EmbeddingCache::new(4)),
+        escape_profile_with(&tool, &solo, &solo, &[1, 2], &EmbeddingCache::new(4)),
         vec![0.0, 0.0]
     );
     let mut foreign = solo.clone();
     foreign.functions[0].provenance.origins = vec!["elsewhere".into()];
     assert_eq!(
-        escape_profile_streaming(&tool, &solo, &foreign, &[1, 2], &EmbeddingCache::new(4)),
+        escape_profile_with(&tool, &solo, &foreign, &[1, 2], &EmbeddingCache::new(4)),
         vec![1.0, 1.0]
     );
 
     // Tied similarity scores: the pinned tie-break is "lower candidate
     // index ranks first". With two identical candidates ahead of the
     // true match, a clone of the query at index 0 and the true match at
-    // index 2 give deterministic rank 3 on both paths.
+    // index 2 give deterministic rank 3.
     let solo_clean = {
         let mut b = solo.clone();
         b.functions[0].provenance.annotations.clear();
@@ -417,13 +459,9 @@ fn escape_profile_edge_cases() {
     ];
     let cache = EmbeddingCache::new(4);
     assert_eq!(
-        rank_of_true_match_streaming(&tool, &solo, &tied, 0, &cache),
-        Some(3),
+        ranks_of_true_match(&tool, &solo, &tied, &[0], &cache),
+        vec![Some(3)],
         "two identical decoys at lower indices rank ahead deterministically"
-    );
-    assert_eq!(
-        escape_profile_streaming(&tool, &solo, &tied, &[1, 2, 3], &cache),
-        vec![1.0, 1.0, 0.0]
     );
     assert_eq!(
         escape_profile_with(&tool, &solo, &tied, &[1, 2, 3], &cache),
@@ -512,16 +550,16 @@ fn parallel_streaming_matches_sequential_for_all_five_differs() {
             let scorer = tool.row_scorer(&base_bin, &obf_bin, &cache);
             (
                 par_stream_top_k_rows(scorer.as_ref(), &queries, 7),
-                ranks_of_true_match_streaming(tool.as_ref(), &base_bin, &obf_bin, &queries, &cache),
-                escape_profile_streaming(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache),
+                ranks_of_true_match(tool.as_ref(), &base_bin, &obf_bin, &queries, &cache),
+                escape_profile_with(tool.as_ref(), &base_bin, &obf_bin, &ks, &cache),
             )
         });
         let (ref_topk, ref_ranks, ref_escape) = &runs[0];
         // The KHAOS_THREADS=1 leg equals the per-query sequential calls.
         for (qi, want) in ref_ranks.iter().enumerate() {
             assert_eq!(
-                rank_of_true_match_streaming(tool.as_ref(), &base_bin, &obf_bin, qi, &cache),
-                *want,
+                ranks_of_true_match(tool.as_ref(), &base_bin, &obf_bin, &[qi], &cache),
+                vec![*want],
                 "{} qi={qi}: batch ranks must equal per-query calls",
                 tool.name()
             );
@@ -631,10 +669,9 @@ proptest! {
 // The dispatch decision is a pure speed knob, never an accuracy knob.
 // ---------------------------------------------------------------------
 
-use khaos::diff::engine::{EmbedScorer, FunctionEmbeddings};
+use khaos::diff::engine::FunctionEmbeddings;
 use khaos::diff::kernels::{self, KernelKind};
-use khaos::diff::{stream_top_k_quantized, QuantizedEmbeddings, QUANT_SHORTLIST_FACTOR};
-use std::sync::Arc;
+use khaos::diff::QuantizedEmbeddings;
 
 /// Runs `f` once under each available kernel and returns the results,
 /// restoring auto dispatch afterwards. A process-wide lock serializes
@@ -692,72 +729,9 @@ fn forced_kernels_are_bit_identical_for_all_five_differs() {
 }
 
 // ---------------------------------------------------------------------
-// Quantized shortlist: int8 candidate scan + exact re-rank must hand
-// back the exact path's ranked output bit-for-bit, with recall 1.0 at
-// every fig10 threshold, for all five differs.
+// int8 quantized tier: every coordinate decodes to within half a step,
+// and a quantized row is smaller than its f64 row.
 // ---------------------------------------------------------------------
-
-/// Satellite: on the fig10-style workload, `stream_top_k_quantized`
-/// with the default shortlist factor reproduces the exact
-/// `stream_top_k` output — indices AND score bits — at k ∈ {1, 10, 50}
-/// for every query of every differ, which pins recall@{1,10,50} = 1.0
-/// after re-ranking.
-#[test]
-fn quantized_shortlist_reranks_to_exact_top_k_for_all_five_differs() {
-    let (base_bin, obf_bin) = obfuscated_pair(79, KhaosMode::FuFiAll);
-    for tool in five_tools() {
-        let qe = Arc::new(FunctionEmbeddings::from_rows(tool.embed(&base_bin)));
-        let te = Arc::new(FunctionEmbeddings::from_rows(tool.embed(&obf_bin)));
-        let qq = QuantizedEmbeddings::from_embeddings(&qe);
-        let tq = QuantizedEmbeddings::from_embeddings(&te);
-        // The quantized rows cost dim + 16 bytes against 8·dim exact —
-        // a real saving for any row wider than two f64s.
-        assert_eq!(qq.bytes_per_function(), qe.dim() + 16, "{}", tool.name());
-        if qe.dim() > 2 {
-            assert!(
-                qq.bytes_per_function() < qe.dim() * 8,
-                "{}: quantized rows must be smaller than f64 rows",
-                tool.name()
-            );
-        }
-        let scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
-        for qi in 0..qe.len() {
-            for k in [1usize, 10, 50] {
-                let exact = stream_top_k(&scorer, qi, k);
-                let approx = stream_top_k_quantized(
-                    &qq,
-                    &tq,
-                    &scorer,
-                    qi,
-                    k,
-                    QUANT_SHORTLIST_FACTOR,
-                    true,
-                );
-                // recall@k over the exact top-k index set…
-                let exact_set: std::collections::HashSet<usize> =
-                    exact.iter().map(|&(j, _)| j).collect();
-                let hit = approx.iter().filter(|(j, _)| exact_set.contains(j)).count();
-                assert_eq!(
-                    hit,
-                    exact_set.len(),
-                    "{} qi={qi} k={k}: recall after re-rank must be 1.0",
-                    tool.name()
-                );
-                // …and the stronger pin: bit-identical ranked output.
-                assert_eq!(approx.len(), exact.len(), "{} qi={qi} k={k}", tool.name());
-                for ((ja, sa), (jb, sb)) in approx.iter().zip(&exact) {
-                    assert_eq!(ja, jb, "{} qi={qi} k={k}: index order", tool.name());
-                    assert_eq!(
-                        sa.to_bits(),
-                        sb.to_bits(),
-                        "{} qi={qi} k={k}: score bits",
-                        tool.name()
-                    );
-                }
-            }
-        }
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -775,6 +749,12 @@ proptest! {
             .collect();
         let e = FunctionEmbeddings::from_rows(rows);
         let q = QuantizedEmbeddings::from_embeddings(&e);
+        // dim + 16 bytes against 8·dim exact: a real saving for any
+        // row wider than two f64s.
+        prop_assert_eq!(q.bytes_per_function(), dim + 16);
+        if dim > 2 {
+            prop_assert!(q.bytes_per_function() < dim * 8);
+        }
         for i in 0..e.len() {
             let back = q.decode_row(i);
             let bound = q.scales()[i] * 0.5 * (1.0 + 1e-9) + 1e-15;
@@ -783,39 +763,6 @@ proptest! {
                     (x - y).abs() <= bound,
                     "row {}: |{} - {}| > scale/2 = {}", i, x, y, bound
                 );
-            }
-        }
-    }
-
-    /// Exact re-rank over a full-coverage shortlist is bit-identical to
-    /// `stream_top_k` on random embeddings — ties, k > T and
-    /// single-candidate shapes included.
-    #[test]
-    fn quantized_full_shortlist_is_bit_identical_to_exact(
-        seed in any::<u64>(),
-        q in 1usize..6,
-        t in 1usize..24,
-        dim in 1usize..32,
-        k in 0usize..30,
-    ) {
-        let qe = Arc::new(FunctionEmbeddings::from_rows(
-            (0..q).map(|i| rand_vec(seed ^ (i as u64) << 9, dim)).collect(),
-        ));
-        let te = Arc::new(FunctionEmbeddings::from_rows(
-            (0..t).map(|j| rand_vec(seed ^ 0xF00 ^ (j as u64) << 21, dim)).collect(),
-        ));
-        let qq = QuantizedEmbeddings::from_embeddings(&qe);
-        let tq = QuantizedEmbeddings::from_embeddings(&te);
-        let scorer = EmbedScorer::new(Arc::clone(&qe), Arc::clone(&te), true);
-        // factor ≥ cols/k ⇒ the shortlist is the whole candidate set,
-        // so the re-rank must equal the exact path exactly.
-        for qi in 0..q {
-            let exact = stream_top_k(&scorer, qi, k);
-            let approx = stream_top_k_quantized(&qq, &tq, &scorer, qi, k, t.max(1), true);
-            prop_assert_eq!(approx.len(), exact.len());
-            for ((ja, sa), (jb, sb)) in approx.iter().zip(&exact) {
-                prop_assert_eq!(ja, jb);
-                prop_assert_eq!(sa.to_bits(), sb.to_bits());
             }
         }
     }
