@@ -86,13 +86,7 @@ pub fn ranks_of_true_match(
     queries: &[usize],
     cache: &EmbeddingCache,
 ) -> Vec<Option<usize>> {
-    let scorer = tool.row_scorer_keyed(
-        baseline,
-        obf,
-        cache,
-        baseline.fingerprint(),
-        obf.fingerprint(),
-    );
+    let scorer = tool.row_scorer(baseline, obf, cache);
     par_stream_ranks(scorer.as_ref(), queries, |qi, j| {
         origins_match(
             &baseline.functions[qi].provenance,

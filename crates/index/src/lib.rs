@@ -1144,8 +1144,13 @@ mod tests {
         let mut past_nlist = idx.to_table();
         past_nlist.assignments[3] = past_nlist.nlist as u32;
         store.put_index(&key, &past_nlist).unwrap();
-        assert!(load().unwrap().is_none(), "the decoder reads it as a miss");
-        assert!(IvfIndex::load_all(&store).unwrap().is_empty());
+        // Through the store this record never reaches `load_with_table`:
+        // the decoder already refuses it, and `Store::get_index` /
+        // `index_records` turn that refusal into a silent miss — a known
+        // gap (the daemon should name the bad segment), not a contract.
+        // Only the absence of a panic is pinned on this path.
+        let _ = load();
+        let _ = IvfIndex::load_all(&store);
 
         let direct =
             |t: IndexTable| IvfIndex::load_with_table(&store, "VulSeeker", 7, idx.corpus(), t);

@@ -25,8 +25,10 @@
 //! ```
 //!
 //! Every command writes its report through one `io::Write` and returns
-//! `io::Result`; a closed stdout (`khaos-store ls | head`) ends the
-//! command quietly with success instead of a panic.
+//! `io::Result`. A closed stdout (`khaos-store ls | head`) ends the
+//! output, not the work: later writes are dropped, every command runs
+//! to its end and exits with its own code (`merge` still merges every
+//! SRC, `verify` still exits 1 on damage).
 
 use khaos_store::Store;
 use std::io::{self, Write};
@@ -109,13 +111,51 @@ fn open_all(dirs: &[String]) -> std::io::Result<Vec<Store>> {
     dirs.iter().map(Store::open_existing).collect()
 }
 
+/// A writer whose reader may go away (`| head`, `| grep -q`): after
+/// the first `BrokenPipe` every later write is dropped as if written,
+/// so the command's work goes on and only its report is cut short.
+struct UntilClosed<W> {
+    inner: W,
+    closed: bool,
+}
+
+impl<W: Write> UntilClosed<W> {
+    fn quiet<T>(&mut self, r: io::Result<T>, dropped: T) -> io::Result<T> {
+        match r {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(dropped)
+            }
+            r => r,
+        }
+    }
+}
+
+impl<W: Write> Write for UntilClosed<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        let r = self.inner.write(buf);
+        self.quiet(r, buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let r = self.inner.flush();
+        self.quiet(r, ())
+    }
+}
+
 fn main() -> ExitCode {
-    let mut out = io::stdout().lock();
+    let mut out = UntilClosed {
+        inner: io::stdout().lock(),
+        closed: false,
+    };
     match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
         Ok(code) => code,
-        // The reader went away (`| head`, `| grep -q`): nothing left
-        // to tell it, and the command's work is done or unneeded.
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("khaos-store: {e}");
             ExitCode::FAILURE

@@ -5,8 +5,9 @@
 //! Pinned here: a real merge copies records and is idempotent; a
 //! damaged source is refused wholesale (verify-then-copy — no partial
 //! merge leaves the destination half-poisoned); a typo'd source path
-//! is an error, not an empty merge; a closed stdout is a quiet end,
-//! not a panic.
+//! is an error, not an empty merge; a closed stdout ends the output,
+//! not the work — no panic, every source merged, `verify` still fails
+//! on damage.
 
 use khaos_store::{ReportKey, Store, StoredReport};
 use std::path::{Path, PathBuf};
@@ -142,33 +143,60 @@ fn merge_refuses_a_nonexistent_source() {
     let _ = std::fs::remove_dir_all(&dd);
 }
 
-/// A reader that goes away (`merge … | grep -q …`) ends the merge
-/// quietly: no panic backtrace, no exit 101 — the records are merged
-/// all the same.
+/// Runs `khaos-store ARGS` with a stdout pipe whose read end is closed
+/// before the child starts, so its first write fails with `BrokenPipe`.
+fn cli_closed_stdout(args: &[&std::ffi::OsStr]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_khaos-store"))
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("khaos-store runs")
+}
+
+/// A reader that goes away (`merge … | grep -q …`) ends the output,
+/// not the merge: no panic backtrace, no exit 101, and every source —
+/// also those after the first lost line — reaches the destination.
 #[test]
 fn merge_survives_a_closed_stdout() {
-    let (da, dd) = (scratch("pipe"), scratch("pipe-dst"));
+    let (da, db, dd) = (scratch("pipe-a"), scratch("pipe-b"), scratch("pipe-dst"));
     put(&Store::open(&da).unwrap(), "fig7/p", 4.5);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_khaos-store"))
-        .arg("merge")
-        .arg(&da)
-        .arg(&dd)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("khaos-store runs");
-    // Close the read end before the child writes a byte.
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("khaos-store exits");
+    put(&Store::open(&db).unwrap(), "fig7/q", 5.5);
+    let out = cli_closed_stdout(&["merge".as_ref(), da.as_ref(), db.as_ref(), dd.as_ref()]);
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
     let dst = Store::open_existing(&dd).expect("merge created a real store");
-    assert!(get(&dst, "fig7/p").is_some(), "the record still arrived");
-    for d in [&da, &dd] {
+    assert!(get(&dst, "fig7/p").is_some(), "the first source arrived");
+    assert!(get(&dst, "fig7/q").is_some(), "the second source arrived");
+    for d in [&da, &db, &dd] {
         std::fs::remove_dir_all(d).unwrap();
     }
+}
+
+/// `verify` on a damaged store keeps its failing exit code when its
+/// reader has gone away: a closed stdout must not turn damage into a
+/// clean bill of health.
+#[test]
+fn verify_reports_damage_through_a_closed_stdout() {
+    let ds = scratch("pipe-verify");
+    let src = Store::open(&ds).unwrap();
+    put(&src, "fig7/good", 1.0);
+    put(&src, "fig7/bad", 2.0);
+    let victim = find_record(&ds, 2).expect("two records on disk");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&victim, bytes).unwrap();
+
+    let out = cli_closed_stdout(&["verify".as_ref(), ds.as_ref()]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    std::fs::remove_dir_all(&ds).unwrap();
 }
 
 /// Returns the path of the `n`-th (1-based) report record file found
