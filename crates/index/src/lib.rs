@@ -1104,11 +1104,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Hostile index segments are errors or misses, never panics.
-    /// Through `Store::put_index` (checksum valid), a segment with more
-    /// cells than rows reaches the loader and is `InvalidData` for both
+    /// Hostile index segments never panic the loader. Through
+    /// `Store::put_index` (checksum valid), a segment with more cells
+    /// than rows reaches the loader and is `InvalidData` for both
     /// `load` and `load_all`; an out-of-range assignment is already
-    /// refused by the record decoder and reads as a miss. The loader's
+    /// refused by the record decoder, and only the absence of a panic
+    /// is pinned for it. The loader's
     /// own range and overflow checks are driven directly as well, for
     /// tables that reach it without that decoder.
     #[test]
